@@ -4,7 +4,7 @@ nonlinear remainder through additive IMEX Runge-Kutta schemes."""
 
 from .basis import NodalBasis, element_operators, gll, nodal_basis
 from .cases import TestCase, l2_error, lake_at_rest, make_case, mms_nonlinear, standing_wave
-from .dg import ExplicitOperator, StateField, nodal_field, residual_explicit, rusanov_flux
+from .dg import ExplicitOperator, StateField, nodal_field, rusanov_flux
 from .driver import (
     build_simulation,
     convergence,
@@ -20,11 +20,10 @@ from .hdg import (
     TraceField,
     assemble_local,
     condense_and_factor,
-    hdg_numerical_flux,
     implicit_solve,
 )
 from .imex import ImexTableau, check_order_conditions, scheme_names, step, tableau
-from .mesh import Mesh, build_structured, face_neighbors, gll_node_coords
+from .mesh import Mesh, build_structured, gll_node_coords
 from .swe import ModelParams, flux_full, flux_linear, flux_nonlinear, source
 
 __version__ = "0.1.0"

@@ -194,6 +194,12 @@ def validate(cfg):
         raise InvalidValueError("time.dt", f"must be positive, got {cfg.time.dt}")
     if cfg.time.t_final < cfg.time.dt:
         raise InvalidValueError("time.t_final", f"must be at least dt, got {cfg.time.t_final}")
+    n_steps = round(cfg.time.t_final / cfg.time.dt)
+    if abs(cfg.time.t_final - n_steps * cfg.time.dt) > 1e-9 * cfg.time.t_final:
+        raise InvalidValueError(
+            "time.t_final",
+            f"must be an integer multiple of time.dt = {cfg.time.dt!r}, got {cfg.time.t_final!r}",
+        )
     if cfg.time.scheme not in imex.scheme_names():
         raise InvalidValueError(
             "time.scheme", f"unknown scheme {cfg.time.scheme!r}; available: {', '.join(imex.scheme_names())}"

@@ -133,7 +133,6 @@ class ExplicitOperator:
 
         self.mesh = mesh
         self.basis = basis
-        n1 = basis.n
         w = basis.weights
         self.mass2d = 0.25 * mesh.hx * mesh.hy * np.outer(w, w)  # (jy, ix)
         self.wd = w[:, None] * basis.D  # wd[i, m] = w_i D[i, m]
@@ -143,16 +142,9 @@ class ExplicitOperator:
         self.left_side = mesh.face_left[:, 1]
         self.right_elem = mesh.face_right[:, 0]
         self.right_side = mesh.face_right[:, 1]
-        self.interior = self.right_elem >= 0
+        self.interior = np.nonzero(self.right_elem >= 0)[0]  # interior face ids
         self.normals = mesh.face_normal
         self.face_w = 0.5 * mesh.face_length[:, None] * w[None, :]  # (nface, p+1)
-        # Node permutation seen from the right element (flip flags).
-        idx = np.arange(n1)
-        self.right_perm = np.where(
-            mesh.elem_face_flip[self.right_elem, self.right_side][:, None],
-            idx[::-1][None, :],
-            idx[None, :],
-        )
 
     def _side_traces(self, data):
         n1 = self.basis.n
@@ -183,21 +175,15 @@ class ExplicitOperator:
         un = q_left[..., swe.MX] * normals[..., 0] + q_left[..., swe.MY] * normals[..., 1]
         q_right[..., swe.MX] -= 2.0 * un * normals[..., 0]
         q_right[..., swe.MY] -= 2.0 * un * normals[..., 1]
-        if np.any(self.interior):
-            ids = np.nonzero(self.interior)[0]
-            q_right[ids] = traces[
-                self.right_elem[ids, None], self.right_side[ids, None], self.right_perm[ids]
-            ]
+        ids = self.interior
+        q_right[ids] = traces[self.right_elem[ids], self.right_side[ids]]
 
         fhat = rusanov_flux(q_left, q_right, normals, params, mode=mode)
         fhat_w = fhat * self.face_w[:, :, None]
 
         side_acc = np.zeros((mesh.num_elements, 4, n1, 3))
         side_acc[self.left_elem, self.left_side] = fhat_w
-        if np.any(self.interior):
-            ids = np.nonzero(self.interior)[0]
-            back = -np.take_along_axis(fhat_w[ids], self.right_perm[ids][:, :, None], axis=1)
-            side_acc[self.right_elem[ids], self.right_side[ids]] = back
+        side_acc[self.right_elem[ids], self.right_side[ids]] = -fhat_w[ids]
 
         vol[:, 0, :, :] -= side_acc[:, SOUTH]
         vol[:, n1 - 1, :, :] -= side_acc[:, NORTH]
@@ -210,13 +196,3 @@ class ExplicitOperator:
         if extra_source is not None:
             out += extra_source(x, y, t)
         return out
-
-
-def residual_explicit(field, t, params, extra_source=None, mode="remainder"):
-    """Explicit DG tendency as a StateField (convenience wrapper)."""
-    op = ExplicitOperator(field.mesh, field.basis)
-    return StateField(
-        op.tendency(field.data, t, params, extra_source=extra_source, mode=mode),
-        field.mesh,
-        field.basis,
-    )

@@ -16,6 +16,7 @@ import numpy as np
 from . import imex
 from .basis import nodal_basis
 from .cases import l2_error, make_case
+from .config import CaseConfig, Config, DiscConfig, MeshConfig, PhysicsConfig, TimeConfig
 from .dg import ExplicitOperator, StateField, nodal_field
 from .errors import DryStateError, InvalidArgumentError
 from .hdg import ImplicitSolverBank
@@ -32,6 +33,12 @@ class SplitOperator:
     accuracy).  ``extra_source`` is an optional (x, y, t) -> 3-vector added
     on the explicit side; manufactured-solution cases inject their residual
     through it.
+
+    Without a solver ``bank`` the pair is the explicit control: the
+    complete flux moves to the explicit side and the implicit solve is the
+    identity, so the IMEX stepper reproduces the scheme's explicit
+    Runge-Kutta method on the full system.  It exists to demonstrate the
+    fast-wave time-step restriction the split method removes.
     """
 
     def __init__(self, dg_op, bank, params, extra_source=None, linear_mode=False):
@@ -40,43 +47,21 @@ class SplitOperator:
         self.params = params
         self.extra_source = extra_source
         self.linear_mode = linear_mode
+        self.flux_mode = "remainder" if bank is not None else "full"
 
     def explicit_tendency(self, q, t):
         if self.linear_mode:
             return q.zeros_like()
-        out = self.dg_op.tendency(q.data, t, self.params, extra_source=self.extra_source)
-        return StateField(out, q.mesh, q.basis)
-
-    def implicit_solve(self, shift, r):
-        q, _ = self.bank.solve(shift, r)
-        return q
-
-
-class ExplicitOnlyOperator:
-    """Control configuration: the complete flux on the explicit side.
-
-    The implicit solve degenerates to the identity, so the IMEX stepper
-    reproduces the scheme's explicit Runge-Kutta method applied to the full
-    system.  Exists to demonstrate the fast-wave time-step restriction the
-    split method removes.
-    """
-
-    def __init__(self, dg_op, params, extra_source=None):
-        self.dg_op = dg_op
-        self.params = params
-        self.extra_source = extra_source
-
-    def explicit_tendency(self, q, t):
         out = self.dg_op.tendency(
-            q.data, t, self.params, extra_source=self.extra_source, mode="full"
+            q.data, t, self.params, extra_source=self.extra_source, mode=self.flux_mode
         )
         return StateField(out, q.mesh, q.basis)
 
     def implicit_solve(self, shift, r):
-        return r
-
-    def apply_implicit(self, q):
-        return q.zeros_like()
+        if self.bank is None:
+            return r
+        q, _ = self.bank.solve(shift, r)
+        return q
 
 
 @dataclass
@@ -93,10 +78,12 @@ class Simulation:
     def initial_field(self):
         return nodal_field(self.mesh, self.basis, self.case.initial_state)
 
-    def operator(self):
+    def operator(self, explicit_control=False):
+        """The split operator pair, or with ``explicit_control`` the
+        explicit-only control (see SplitOperator)."""
         return SplitOperator(
             self.dg_op,
-            self.bank,
+            None if explicit_control else self.bank,
             self.params,
             extra_source=self.case.mms_source,
             linear_mode=self.config.case.linear_mode,
@@ -349,26 +336,27 @@ def stability_study(
     the explicit side) at the same step.  The control is aborted once its
     amplitude exceeds 1e6 times the initial one or goes non-finite.
     """
-    params = ModelParams(phi_bar=phi_bar)
-    case = make_case("standing_wave", params, amplitude_factor * phi_bar)
-    mesh = build_structured(nx, nx, case.bounds, case.bc_x, case.bc_y)
-    basis = nodal_basis(order)
-    dg_op = ExplicitOperator(mesh, basis)
-    dt_cfl = explicit_gravity_dt(mesh, basis, params)
+    cfg = Config(
+        mesh=MeshConfig(nx=nx, ny=nx),
+        disc=DiscConfig(order=order),
+        physics=PhysicsConfig(phi_bar=phi_bar),
+        time=TimeConfig(scheme=scheme),
+        case=CaseConfig(name="standing_wave", amplitude=amplitude_factor * phi_bar),
+    )
+    sim = build_simulation(cfg)
+    dt_cfl = explicit_gravity_dt(sim.mesh, sim.basis, sim.params)
     dt = cfl_multiple * dt_cfl
-    tab = imex.tableau(scheme)
-    q0 = nodal_field(mesh, basis, case.initial_state)
+    q0 = sim.initial_field()
     initial_max = float(np.max(np.abs(q0.phi_prime)))
 
-    bank = ImplicitSolverBank(mesh, basis, params)
-    pair = SplitOperator(dg_op, bank, params)
+    pair = sim.operator()
     q = q0.copy()
     imex_max = initial_max
     for k in range(n_steps):
-        q = imex.step(pair, q, k * dt, dt, tab)
+        q = imex.step(pair, q, k * dt, dt, sim.tab)
         imex_max = max(imex_max, float(np.max(np.abs(q.phi_prime))))
 
-    control = ExplicitOnlyOperator(dg_op, params)
+    control = sim.operator(explicit_control=True)
     q = q0.copy()
     explicit_max = initial_max
     survived = 0
@@ -376,7 +364,7 @@ def stability_study(
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for k in range(n_steps):
             try:
-                q = imex.step(control, q, k * dt, dt, tab)
+                q = imex.step(control, q, k * dt, dt, sim.tab)
             except (DryStateError, FloatingPointError):
                 explicit_max = np.inf
                 break

@@ -17,10 +17,10 @@ leaves the condensed trace system
     H lambda = g,     H = sum_K (D_K - C_K A_K^-1 B_K).
 
 On the uniform structured meshes produced by :mod:`swemix.mesh` every
-element shares one set of local blocks, so they are formed once and
-scattered by connectivity.  Back-substitution recovers q element-wise from
-the stored factorization; no reassembly happens between solves with the
-same shift.
+element shares one set of local blocks, so the whole condensation is a
+fixed linear map.  A^-1 M and A^-1 B are formed once per shift; a solve is
+then one batched product for the forward pass, a scatter onto the trace,
+the trace solve, and one batched product for the back-substitution.
 """
 
 from dataclasses import dataclass, field
@@ -45,60 +45,24 @@ class TraceField:
     basis: object
 
 
-def hdg_numerical_flux(q, lam, normal, tau, params):
-    """Pointwise HDG flux: stabilized continuity, trace-valued momentum pressure."""
-    if tau <= 0.0:
-        raise InvalidArgumentError(f"stabilization tau must be positive, got {tau}")
-    q = np.asarray(q, dtype=float)
-    normal = np.asarray(normal, dtype=float)
-    un = q[..., 1] * normal[..., 0] + q[..., 2] * normal[..., 1]
-    out = np.empty(q.shape[:-1] + (3,))
-    out[..., 0] = un + tau * (q[..., 0] - lam)
-    out[..., 1] = params.phi_bar * lam * normal[..., 0]
-    out[..., 2] = params.phi_bar * lam * normal[..., 1]
-    return out
-
-
 @dataclass
 class LocalBlocks:
-    """Element-local blocks of the coupled (q, lambda) system, shared by all
-    elements of a uniform mesh, with the A factorization precomputed."""
+    """Element-local operators of the condensed solve, shared by all
+    elements of a uniform mesh (M is the block mass matrix)."""
 
-    n_vol: int  # 3 * (p+1)^2
-    n_face: int  # p+1
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-    D: np.ndarray
-    A_lu: tuple
+    forward: np.ndarray  # rows [A^-1 M; -C A^-1 M]: r -> (A^-1 M r, trace share)
     A_inv_B: np.ndarray
     schur: np.ndarray  # D - C A^-1 B
-    mass3: np.ndarray  # diagonal of the 3-component mass block
-    alpha_dt: float
-    tau: float
 
 
-def _extraction(n1, side):
-    """E[k, volume_index] = 1 for the volume node under face node k of a side."""
-    e = np.zeros((n1, n1 * n1))
-    for k in range(n1):
-        if side == 0:
-            e[k, k] = 1.0
-        elif side == 1:
-            e[k, k * n1 + n1 - 1] = 1.0
-        elif side == 2:
-            e[k, (n1 - 1) * n1 + k] = 1.0
-        else:
-            e[k, k * n1] = 1.0
-    return e
+def local_matrices(mesh, basis, params, alpha_dt, tau):
+    """Element matrices of the coupled (q, lambda) system.
 
-
-def assemble_local(mesh, basis, params, alpha_dt, tau):
-    """Build A, B, C, D for one element and factorize A.
-
-    A couples the element unknowns to themselves (flux terms taken at
-    lambda = 0), B carries the lambda dependence of the element equations,
-    and C, D express the element's share of the transmission condition.
+    Returns ``(mass3, A, B, C, D)``.  The element equations read
+    A q + B lambda = diag(mass3) r: A couples the element unknowns to
+    themselves (flux terms taken at lambda = 0) and B carries the lambda
+    dependence.  C q + D lambda is the element's share of the transmission
+    condition.
     """
     if alpha_dt <= 0.0 or tau <= 0.0:
         raise AssemblyError(f"need alpha_dt > 0 and tau > 0, got {alpha_dt}, {tau}")
@@ -126,11 +90,11 @@ def assemble_local(mesh, basis, params, alpha_dt, tau):
     for side in range(4):
         nx, ny = SIDE_NORMALS[side]
         lift = ops.face_lift[side]  # (nn, n1), includes face weights
-        ext = _extraction(n1, side)
+        trace = lift @ (lift != 0.0).T  # lifts the element's own values on this side
         cols = slice(side * n1, (side + 1) * n1)
-        A[sl[0], sl[0]] += a * tau * lift @ ext
-        A[sl[0], sl[1]] += a * nx * lift @ ext
-        A[sl[0], sl[2]] += a * ny * lift @ ext
+        A[sl[0], sl[0]] += a * tau * trace
+        A[sl[0], sl[1]] += a * nx * trace
+        A[sl[0], sl[2]] += a * ny * trace
         B[sl[0], cols] = -a * tau * lift
         B[sl[1], cols] = a * phi_bar * nx * lift
         B[sl[2], cols] = a * phi_bar * ny * lift
@@ -139,37 +103,29 @@ def assemble_local(mesh, basis, params, alpha_dt, tau):
         C[cols, sl[2]] = ny * lift.T
         D[cols, cols] = -tau * np.diag(ops.face_weights[side])
 
+    return np.tile(ops.mass_diag, 3), A, B, C, D
+
+
+def assemble_local(mesh, basis, params, alpha_dt, tau):
+    """Factorize the element matrix A once and precompute the operators
+    the condensed solve applies."""
+    mass3, A, B, C, D = local_matrices(mesh, basis, params, alpha_dt, tau)
     A_lu = scipy.linalg.lu_factor(A, check_finite=False)
     if np.min(np.abs(np.diag(A_lu[0]))) == 0.0:
         raise AssemblyError("singular element matrix; check alpha_dt and tau")
+    A_inv_M = scipy.linalg.lu_solve(A_lu, np.diag(mass3), check_finite=False)
     A_inv_B = scipy.linalg.lu_solve(A_lu, B, check_finite=False)
-    schur = D - C @ A_inv_B
-    mass3 = np.tile(ops.mass_diag, 3)
     return LocalBlocks(
-        n_vol=3 * nn,
-        n_face=n1,
-        A=A,
-        B=B,
-        C=C,
-        D=D,
-        A_lu=A_lu,
+        forward=np.vstack([A_inv_M, -(C @ A_inv_M)]),
         A_inv_B=A_inv_B,
-        schur=schur,
-        mass3=mass3,
-        alpha_dt=alpha_dt,
-        tau=tau,
+        schur=D - C @ A_inv_B,
     )
 
 
 def _trace_ids(mesh, n1):
-    """Global trace dof per (element, side-major face node), honoring flips."""
-    fwd = np.arange(n1)
-    ids = np.empty((mesh.num_elements, 4 * n1), dtype=int)
-    for side in range(4):
-        fid = mesh.elem_faces[:, side]
-        perm = np.where(mesh.elem_face_flip[:, side][:, None], fwd[::-1][None, :], fwd[None, :])
-        ids[:, side * n1 : (side + 1) * n1] = fid[:, None] * n1 + perm
-    return ids
+    """Global trace dof per (element, side-major face node)."""
+    ids = mesh.elem_faces[:, :, None] * n1 + np.arange(n1)
+    return ids.reshape(mesh.num_elements, 4 * n1)
 
 
 @dataclass
@@ -216,14 +172,14 @@ class CondensedSystem:
 def condense_and_factor(blocks, mesh, basis, backend="direct", rel_tol=1e-10, max_iter=500):
     """Scatter the element Schur complements into the global trace matrix and
     prepare the chosen solver backend."""
-    n1 = blocks.n_face
+    n1 = basis.n
     ndof = mesh.num_faces * n1
     ids = _trace_ids(mesh, n1)
-    nelem = mesh.num_elements
     rows = np.repeat(ids, 4 * n1, axis=1).ravel()
     cols = np.tile(ids, (1, 4 * n1)).ravel()
-    data = np.tile(blocks.schur.ravel(), nelem)
+    data = np.tile(blocks.schur.ravel(), mesh.num_elements)
     H = scipy.sparse.coo_matrix((data, (rows, cols)), shape=(ndof, ndof)).tocsc()
+    del rows, cols, data  # free the triplets before the factorization
 
     system = CondensedSystem(
         mesh=mesh,
@@ -249,15 +205,15 @@ def condense_and_factor(blocks, mesh, basis, backend="direct", rel_tol=1e-10, ma
 
 def _block_jacobi(H, num_faces, n1):
     """Per-face block-diagonal inverse of H as a preconditioning operator."""
-    Hc = H.tocsr()
-    inv = np.empty((num_faces, n1, n1))
-    for f in range(num_faces):
-        s = slice(f * n1, (f + 1) * n1)
-        block = Hc[s, s].toarray()
-        try:
-            inv[f] = np.linalg.inv(block)
-        except np.linalg.LinAlgError as exc:
-            raise AssemblyError(f"singular face block {f} in preconditioner") from exc
+    coo = H.tocoo()
+    face = coo.row // n1
+    on_block = face == coo.col // n1
+    blocks = np.zeros((num_faces, n1, n1))
+    blocks[face[on_block], coo.row[on_block] % n1, coo.col[on_block] % n1] = coo.data[on_block]
+    try:
+        inv = np.linalg.inv(blocks)
+    except np.linalg.LinAlgError as exc:
+        raise AssemblyError("singular face block in preconditioner") from exc
 
     def apply(v):
         return (inv @ v.reshape(num_faces, n1, 1)).reshape(-1)
@@ -268,25 +224,25 @@ def _block_jacobi(H, num_faces, n1):
 def implicit_solve(system, rhs_field):
     """Solve (M + alpha_dt L) q = M r; return the state and the trace.
 
-    Uses the stored factorizations only: one batched element solve for the
-    static-condensation forward pass, a trace solve, and one batched
-    back-substitution.
+    One batched product gives every element's A^-1 M r and its share of the
+    trace right-hand side; the shares are summed per trace dof, the trace
+    system is solved, and one more batched product subtracts A^-1 B lambda.
     """
     blocks = system.blocks
     mesh, basis = system.mesh, system.basis
     data = rhs_field.data
     if not np.all(np.isfinite(data)):
-        raise InvalidArgumentError("implicit solve right-hand side contains non-finite values")
-    nelem = mesh.num_elements
-    r_flat = np.moveaxis(data, 3, 1).reshape(nelem, blocks.n_vol)
-    y = scipy.linalg.lu_solve(blocks.A_lu, (r_flat * blocks.mass3).T, check_finite=False).T
+        raise SolverFailureError("implicit solve right-hand side contains non-finite values")
+    nelem, n1 = mesh.num_elements, basis.n
+    n_vol = 3 * n1 * n1
+    r_flat = np.moveaxis(data, 3, 1).reshape(nelem, n_vol)
+    y = r_flat @ blocks.forward.T
 
-    g = np.zeros(system.num_trace_dofs)
-    np.add.at(g, system.elem_trace_ids, -(y @ blocks.C.T))
+    ids = system.elem_trace_ids
+    g = np.bincount(ids.ravel(), weights=y[:, n_vol:].ravel(), minlength=system.num_trace_dofs)
     lam = system.solve_trace(g)
 
-    q = y - lam[system.elem_trace_ids] @ blocks.A_inv_B.T
-    n1 = basis.n
+    q = y[:, :n_vol] - lam[ids] @ blocks.A_inv_B.T
     q_data = np.moveaxis(q.reshape(nelem, 3, n1, n1), 1, 3).copy()
     return (
         StateField(q_data, mesh, basis),
@@ -295,11 +251,12 @@ def implicit_solve(system, rhs_field):
 
 
 class ImplicitSolverBank:
-    """Cache of condensed systems keyed by the stage shift alpha*dt.
+    """Cache of condensed systems keyed by the exact stage shift alpha*dt.
 
-    Keys match within 1e-14, so a scheme with one distinct implicit
-    diagonal triggers exactly one assembly per run regardless of step
-    count.  ``num_assemblies`` exposes that for tests and diagnostics.
+    Every stage with the same implicit diagonal passes the same float, so a
+    scheme with one distinct implicit diagonal triggers exactly one assembly
+    per run regardless of step count.  ``num_assemblies`` exposes that for
+    tests and diagnostics.
     """
 
     def __init__(self, mesh, basis, params, tau=None, backend="direct", rel_tol=1e-10, max_iter=500):
@@ -313,23 +270,22 @@ class ImplicitSolverBank:
         self.rel_tol = rel_tol
         self.max_iter = max_iter
         self.num_assemblies = 0
-        self._systems = []  # (alpha_dt, CondensedSystem)
+        self._systems = {}
 
     def system_for(self, alpha_dt):
-        for key, system in self._systems:
-            if abs(key - alpha_dt) <= 1e-14:
-                return system
-        blocks = assemble_local(self.mesh, self.basis, self.params, alpha_dt, self.tau)
-        system = condense_and_factor(
-            blocks,
-            self.mesh,
-            self.basis,
-            backend=self.backend,
-            rel_tol=self.rel_tol,
-            max_iter=self.max_iter,
-        )
-        self.num_assemblies += 1
-        self._systems.append((alpha_dt, system))
+        system = self._systems.get(alpha_dt)
+        if system is None:
+            blocks = assemble_local(self.mesh, self.basis, self.params, alpha_dt, self.tau)
+            system = condense_and_factor(
+                blocks,
+                self.mesh,
+                self.basis,
+                backend=self.backend,
+                rel_tol=self.rel_tol,
+                max_iter=self.max_iter,
+            )
+            self.num_assemblies += 1
+            self._systems[alpha_dt] = system
         return system
 
     def solve(self, alpha_dt, rhs_field):

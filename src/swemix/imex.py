@@ -10,14 +10,14 @@ The stepper is generic over a "split operator pair": any object with
 
     explicit_tendency(q, t)      -> N(q, t)
     implicit_solve(shift, r)     -> q solving  q - shift * G(q) = r
-    apply_implicit(q)            -> G(q)   (optional; only consulted for
-                                   stages that are never solved implicitly)
 
 States only need +, -, and scalar multiplication, so plain numbers, numpy
 arrays, and StateField all work.  After an implicit stage the stiff
 tendency is recovered algebraically as (Q - r) / shift instead of
 reapplying the operator, which keeps it exactly consistent with the
-solver's view of the operator.
+solver's view of the operator.  A tableau may therefore never weight the
+stiff tendency of a stage with a zero implicit diagonal; the shipped ARS
+tableaux never do.
 """
 
 from dataclasses import dataclass
@@ -216,13 +216,10 @@ def step(pair, q, t, dt, tab):
 
     def implicit(j):
         if stage_g[j] is None:
-            apply = getattr(pair, "apply_implicit", None)
-            if apply is None:
-                raise InvalidArgumentError(
-                    f"{tab.name} references the stiff tendency of explicit stage {j}, "
-                    "but the operator pair cannot apply it directly"
-                )
-            stage_g[j] = apply(stage_q[j])
+            raise InvalidArgumentError(
+                f"{tab.name} references the stiff tendency of explicit stage {j}, "
+                "which the stepper never computes"
+            )
         return stage_g[j]
 
     for i in range(s):

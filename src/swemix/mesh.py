@@ -6,8 +6,7 @@ south = 0, east = 1, north = 2, west = 3.  The face skeleton stores every
 geometric face once; with a periodic axis the two wrapped copies are the
 same face.  Face nodes are ordered by increasing global coordinate along
 the face, which coincides with both incident elements' local orderings on
-a structured mesh, so the stored flip flags are always False here; they
-exist so downstream assembly never assumes it.
+a structured mesh.
 
 Face enumeration is a fixed deterministic sweep: vertical faces first
 (by y-row, then x-line), then horizontal faces (by y-line, then x-column).
@@ -44,7 +43,6 @@ class Mesh:
     elem_x0: np.ndarray  # (nelem,) lower-left corner x
     elem_y0: np.ndarray
     elem_faces: np.ndarray  # (nelem, 4) face id per local side
-    elem_face_flip: np.ndarray  # (nelem, 4) bool
     face_left: np.ndarray  # (nface, 2) = (element, side)
     face_right: np.ndarray  # (nface, 2) = (element, side) or (-1, -1) wall
     face_normal: np.ndarray  # (nface, 2) outward from the left element
@@ -152,24 +150,11 @@ def build_structured(nx, ny, bounds, bc_x=WALL, bc_y=WALL):
         elem_x0=elem_x0,
         elem_y0=elem_y0,
         elem_faces=elem_faces,
-        elem_face_flip=np.zeros((nelem, 4), dtype=bool),
         face_left=np.array(left, dtype=int),
         face_right=np.array(right, dtype=int),
         face_normal=np.array(normals, dtype=float),
         face_length=np.array(lengths, dtype=float),
     )
-
-
-def face_neighbors(mesh, face_id):
-    """Return ((left_elem, left_side), (right_elem, right_side)) or
-    ((elem, side), "wall") for a boundary face."""
-    if not (0 <= face_id < mesh.num_faces):
-        raise InvalidArgumentError(f"face id {face_id} out of range [0, {mesh.num_faces})")
-    l = tuple(int(v) for v in mesh.face_left[face_id])
-    r_elem, r_side = mesh.face_right[face_id]
-    if r_elem < 0:
-        return l, WALL
-    return l, (int(r_elem), int(r_side))
 
 
 def gll_node_coords(mesh, basis):

@@ -68,8 +68,8 @@ class MonolithicHdg:
     block of p+1 trace values per face.  The element equations discretize
     (M + a * div F_L) q with the stabilized trace fluxes; the face equations
     are the transmission conditions.  Connectivity (which element sides meet
-    which face, and flips) is taken from the mesh, whose construction is
-    tested independently against geometric adjacency.
+    which face) is taken from the mesh, whose construction is tested
+    independently against geometric adjacency.
     """
 
     def __init__(self, mesh, basis, params, alpha, tau, sparse=False):
@@ -96,9 +96,7 @@ class MonolithicHdg:
             return ((e * 3 + c) * n1 + jy) * n1 + ix
 
         def tidx(e, side, k):
-            f = mesh.elem_faces[e, side]
-            kk = n1 - 1 - k if mesh.elem_face_flip[e, side] else k
-            return self.nvol + f * n1 + kk
+            return self.nvol + mesh.elem_faces[e, side] * n1 + k
 
         for e in range(ne):
             for c in range(3):

@@ -88,6 +88,14 @@ def test_loads_from_file(tmp_path):
     assert cfg.output.dir.endswith("out")
 
 
+def test_t_final_must_be_whole_steps():
+    with pytest.raises(InvalidValueError) as err:
+        parse_text("case.name = lake_at_rest\ntime.dt = 0.3\ntime.t_final = 0.5\n")
+    assert "0.3" in str(err.value) and "0.5" in str(err.value)
+    # 0.3 / 0.1 is 2.9999999999999996 in floating point: still three steps
+    assert parse_text("case.name = lake_at_rest\ntime.dt = 0.1\ntime.t_final = 0.3\n").time.t_final == 0.3
+
+
 def test_cross_field_validation():
     with pytest.raises(InvalidValueError):
         parse_text("case.name = lake_at_rest\ntime.dt = 0.5\ntime.t_final = 0.1\n")

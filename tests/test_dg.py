@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import oracles
 from swemix.basis import nodal_basis
-from swemix.dg import ExplicitOperator, StateField, nodal_field, residual_explicit, rusanov_flux
+from swemix.dg import ExplicitOperator, StateField, nodal_field, rusanov_flux
 from swemix.errors import DryStateError
 from swemix.mesh import PERIODIC, WALL, build_structured
 from swemix.swe import ModelParams, flux_nonlinear
@@ -154,13 +154,3 @@ def test_tendency_deterministic():
     a = op.tendency(field.data, 0.1, P1)
     b = op.tendency(field.data, 0.1, P1)
     assert a.tobytes() == b.tobytes()
-
-
-def test_residual_explicit_wrapper_matches_operator():
-    mesh = build_structured(2, 2, (0.0, 1.0, 0.0, 1.0), WALL, WALL)
-    basis = nodal_basis(2)
-    rng = np.random.default_rng(4)
-    field = _random_field(mesh, basis, rng)
-    wrapped = residual_explicit(field, 0.0, P1)
-    direct = ExplicitOperator(mesh, basis).tendency(field.data, 0.0, P1)
-    assert np.array_equal(wrapped.data, direct)

@@ -8,7 +8,6 @@ from swemix.basis import nodal_basis
 from swemix.config import parse_text
 from swemix.dg import ExplicitOperator, nodal_field
 from swemix.driver import (
-    ExplicitOnlyOperator,
     SplitOperator,
     build_simulation,
     convergence,
@@ -137,11 +136,13 @@ def test_explicit_only_operator_identity_solve():
     params = ModelParams(phi_bar=1.0)
     mesh = build_structured(2, 2, (0.0, 1.0, 0.0, 1.0), "wall", "wall")
     basis = nodal_basis(1)
-    pair = ExplicitOnlyOperator(ExplicitOperator(mesh, basis), params)
+    dg_op = ExplicitOperator(mesh, basis)
+    pair = SplitOperator(dg_op, None, params)
     q = nodal_field(mesh, basis, lambda x, y: np.stack(
-        [0.0 * x + 0.01, 0.0 * x, 0.0 * x], axis=-1))
+        [0.0 * x + 0.01, 0.1 * x, 0.0 * x], axis=-1))
     assert pair.implicit_solve(0.3, q) is q
-    assert np.array_equal(pair.apply_implicit(q).data, np.zeros_like(q.data))
+    full = dg_op.tendency(q.data, 0.0, params, mode="full")
+    assert np.array_equal(pair.explicit_tendency(q, 0.0).data, full)
 
 
 def test_convergence_requires_two_levels():

@@ -5,13 +5,13 @@ import oracles
 from swemix.basis import nodal_basis
 from swemix.dg import ExplicitOperator, StateField, nodal_field
 from swemix.driver import SplitOperator
-from swemix.errors import AssemblyError, InvalidArgumentError, SolverFailureError
+from swemix.errors import AssemblyError, SolverFailureError
 from swemix.hdg import (
     ImplicitSolverBank,
     assemble_local,
     condense_and_factor,
-    hdg_numerical_flux,
     implicit_solve,
+    local_matrices,
 )
 from swemix.imex import step, tableau
 from swemix.mesh import PERIODIC, WALL, build_structured
@@ -28,36 +28,16 @@ def _rand_field(mesh, basis, seed=0):
     return StateField(data, mesh, basis)
 
 
-def test_numerical_flux_examples():
-    n = np.array([1.0, 0.0])
-    q = np.array([0.4, 0.0, 0.7])  # U.n = 0 through this normal? U=0 -> yes
-    f = hdg_numerical_flux(np.array([0.4, 0.0, 0.7]), 0.4, n, 1.0, P2)
-    assert f[0] == 0.0
-    assert np.allclose(f[1:], [P2.phi_bar * 0.4, 0.0], atol=0)
-
-    f = hdg_numerical_flux(np.array([0.3, 0.05, 0.0]), 0.1, n, 1.0, P2)
-    assert abs(f[0] - 0.25) < 1e-16
-
-    # with lambda equal to the trace of a continuous field the penalty
-    # vanishes and the flux is the exact linear flux
-    q = np.array([0.3, 0.2, -0.1])
-    f = hdg_numerical_flux(q, 0.3, n, 3.0, P2)
-    assert np.allclose(f, [0.2, P2.phi_bar * 0.3, 0.0], atol=1e-16)
-    with pytest.raises(InvalidArgumentError):
-        hdg_numerical_flux(q, 0.3, n, 0.0, P2)
-
-
 def test_assemble_local_mass_limit():
-    # alpha_dt -> 0: A reduces to the block mass matrix, so solving
-    # A x = M r returns r
+    # alpha_dt -> 0: A reduces to the block mass matrix, so A^-1 M r
+    # returns r
     mesh = build_structured(1, 1, BOUNDS, WALL, WALL)
     basis = nodal_basis(2)
     blocks = assemble_local(mesh, basis, P2, 1e-30, P2.wave_speed)
+    n_vol = blocks.A_inv_B.shape[0]
     rng = np.random.default_rng(1)
-    r = rng.standard_normal(blocks.n_vol)
-    import scipy.linalg
-
-    x = scipy.linalg.lu_solve(blocks.A_lu, blocks.mass3 * r)
+    r = rng.standard_normal(n_vol)
+    x = blocks.forward[:n_vol] @ r
     assert np.max(np.abs(x - r)) < 1e-12
 
 
@@ -73,8 +53,8 @@ def test_assemble_local_rejects_bad_inputs():
 def test_b_and_c_transpose_sparsity():
     mesh = build_structured(1, 1, BOUNDS, WALL, WALL)
     basis = nodal_basis(2)
-    blocks = assemble_local(mesh, basis, P2, 0.05, P2.wave_speed)
-    assert np.array_equal(blocks.B != 0.0, blocks.C.T != 0.0)
+    _, _, B, C, _ = local_matrices(mesh, basis, P2, 0.05, P2.wave_speed)
+    assert np.array_equal(B != 0.0, C.T != 0.0)
 
 
 def test_single_element_schur_matches_dense_oracle():
@@ -96,6 +76,21 @@ def test_trace_system_size():
         blocks = assemble_local(mesh, basis, P2, 0.02, 1.0)
         system = condense_and_factor(blocks, mesh, basis)
         assert system.H.shape == (mesh.num_faces * (p + 1),) * 2
+
+
+@pytest.mark.parametrize("bc", [WALL, PERIODIC])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_trace_system_is_symmetric_negative_definite(p, bc):
+    # the hybridized Schur complement is symmetric and -H is positive
+    # definite, the footing for a symmetric factorization of H
+    basis = nodal_basis(p)
+    for n in (1, 3):
+        mesh = build_structured(n, n, BOUNDS, bc, bc)
+        for alpha in (1e-4, 1e-2, 1.0):
+            blocks = assemble_local(mesh, basis, P2, alpha, P2.wave_speed)
+            H = condense_and_factor(blocks, mesh, basis).H.toarray()
+            assert np.linalg.norm(H - H.T) <= 1e-13 * np.linalg.norm(H)
+            assert np.min(np.linalg.eigvalsh(-0.5 * (H + H.T))) > 0.0
 
 
 def test_trace_system_sparsity_is_symmetric():
@@ -135,16 +130,17 @@ def test_solve_satisfies_local_and_transmission_equations():
     basis = nodal_basis(2)
     blocks = assemble_local(mesh, basis, P2, 0.04, P2.wave_speed)
     system = condense_and_factor(blocks, mesh, basis)
+    mass3, A, B, C, D = local_matrices(mesh, basis, P2, 0.04, P2.wave_speed)
     r = _rand_field(mesh, basis, seed=3)
     q, lam = implicit_solve(system, r)
-    nv = blocks.n_vol
+    nv = mass3.size
     q_flat = np.moveaxis(q.data, 3, 1).reshape(mesh.num_elements, nv)
     r_flat = np.moveaxis(r.data, 3, 1).reshape(mesh.num_elements, nv)
     lam_loc = lam.data.reshape(-1)[system.elem_trace_ids]
-    local = q_flat @ blocks.A.T + lam_loc @ blocks.B.T - r_flat * blocks.mass3
+    local = q_flat @ A.T + lam_loc @ B.T - r_flat * mass3
     assert np.max(np.abs(local)) < 1e-10 * max(1.0, np.max(np.abs(r_flat)))
     trans = np.zeros(system.num_trace_dofs)
-    np.add.at(trans, system.elem_trace_ids, q_flat @ blocks.C.T + lam_loc @ blocks.D.T)
+    np.add.at(trans, system.elem_trace_ids, q_flat @ C.T + lam_loc @ D.T)
     assert np.max(np.abs(trans)) < 1e-10
 
 
@@ -202,10 +198,13 @@ def test_factorization_reuse_via_bank():
     r = _rand_field(mesh, basis, seed=9)
     bank.solve(0.05, r)
     bank.solve(0.05, r)
-    bank.solve(0.05 + 5e-15, r)  # inside the key tolerance
     assert bank.num_assemblies == 1
+    assert bank.system_for(0.05) is bank.system_for(0.05)
     bank.solve(0.025, r)
     assert bank.num_assemblies == 2
+    # keys are exact: tiny distinct shifts get distinct systems
+    assert bank.system_for(1e-15) is not bank.system_for(2e-15)
+    assert bank.num_assemblies == 4
 
 
 def test_gmres_backend_matches_direct():
@@ -236,8 +235,22 @@ def test_nonfinite_rhs_rejected():
     system = condense_and_factor(blocks, mesh, basis)
     bad = np.zeros((1, 2, 2, 3))
     bad[0, 0, 0, 0] = np.nan
-    with pytest.raises(InvalidArgumentError):
+    with pytest.raises(SolverFailureError):
         implicit_solve(system, StateField(bad, mesh, basis))
+
+
+def test_nonfinite_state_fails_the_implicit_stage():
+    # NaN passes the dry check (NaN <= 0 is False), so the first implicit
+    # stage is where a blown-up state is caught
+    params = ModelParams(phi_bar=1.0)
+    case = standing_wave(params)
+    mesh = build_structured(2, 2, case.bounds, case.bc_x, case.bc_y)
+    basis = nodal_basis(1)
+    pair = SplitOperator(ExplicitOperator(mesh, basis), ImplicitSolverBank(mesh, basis, params), params)
+    q = nodal_field(mesh, basis, case.initial_state)
+    q.data[0, 0, 0, 0] = np.nan
+    with pytest.raises(SolverFailureError, match="stage 1"):
+        step(pair, q, 0.0, 0.01, tableau("ars222"))
 
 
 def _richardson_error(n, p, dt, t_final=0.25):

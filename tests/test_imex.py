@@ -24,9 +24,6 @@ class ScalarSplit:
     def implicit_solve(self, shift, r):
         return r / (1.0 - shift * self.lam_im)
 
-    def apply_implicit(self, y):
-        return self.lam_im * y
-
 
 class ForcedExplicit:
     """y' = f(t); isolates the stage-time sampling of the explicit part."""
@@ -39,9 +36,6 @@ class ForcedExplicit:
 
     def implicit_solve(self, shift, r):
         return r
-
-    def apply_implicit(self, y):
-        return 0.0
 
 
 class MatrixImplicit:
@@ -56,9 +50,6 @@ class MatrixImplicit:
 
     def implicit_solve(self, shift, r):
         return np.linalg.solve(self.eye - shift * self.L, r)
-
-    def apply_implicit(self, y):
-        return self.L @ y
 
 
 def _march(pair, tab, y0, dt, t_end):

@@ -12,7 +12,6 @@ from swemix.mesh import (
     WALL,
     WEST,
     build_structured,
-    face_neighbors,
     gll_node_coords,
 )
 from swemix.basis import nodal_basis
@@ -56,12 +55,9 @@ def test_invalid_arguments():
 
 def test_face_neighbors_single_element():
     m = build_structured(1, 1, BOUNDS, WALL, WALL)
-    for f in range(4):
-        (elem, side), right = face_neighbors(m, f)
-        assert elem == 0
-        assert right == WALL
-    with pytest.raises(InvalidArgumentError):
-        face_neighbors(m, 4)
+    assert np.array_equal(m.face_left[:, 0], np.zeros(4, dtype=int))
+    assert sorted(m.face_left[:, 1]) == [SOUTH, EAST, NORTH, WEST]
+    assert np.array_equal(m.face_right, np.full((4, 2), -1))
 
 
 def test_face_neighbors_periodic_wrap():
@@ -71,8 +67,8 @@ def test_face_neighbors_periodic_wrap():
             and {m.face_left[f, 0], m.face_right[f, 0]} == {0, 1}]
     # two vertical faces: the interior line and the wrap, both join 0 and 1
     assert len(wrap) == 2
-    left, right = face_neighbors(m, wrap[0])
-    assert {left[0], right[0]} == {0, 1}
+    pairs = {(tuple(m.face_left[f]), tuple(m.face_right[f])) for f in wrap}
+    assert pairs == {((0, EAST), (1, WEST)), ((1, EAST), (0, WEST))}
 
 
 def _geometric_adjacency(mesh):
