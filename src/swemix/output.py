@@ -18,62 +18,47 @@ def _fmt(value):
     return f"{value:.17g}"
 
 
+def _rows(fmt, values):
+    """Format every row of ``values`` with ``fmt`` in one pass."""
+    return fmt * len(values) % tuple(values.ravel().tolist())
+
+
 def write_vtk(field, mesh, basis, path, phi_bar, title="swemix snapshot"):
     """Write one state snapshot as a legacy ASCII VTK unstructured grid."""
-    n1 = basis.n
+    n1, p = basis.n, basis.order
     coords = gll_node_coords(mesh, basis).reshape(-1, 2)
     npoints = coords.shape[0]
-    ncells = mesh.num_elements * basis.order**2
+    ncells = mesh.num_elements * p**2
 
-    lines = ["# vtk DataFile Version 3.0", title, "ASCII", "DATASET UNSTRUCTURED_GRID"]
-    lines.append(f"POINTS {npoints} double")
-    for x, y in coords:
-        lines.append(f"{_fmt(x)} {_fmt(y)} 0")
-
-    lines.append(f"CELLS {ncells} {5 * ncells}")
-    for e in range(mesh.num_elements):
-        base = e * n1 * n1
-        for j in range(basis.order):
-            for i in range(basis.order):
-                a = base + j * n1 + i
-                b = a + 1
-                c = base + (j + 1) * n1 + i + 1
-                d = c - 1
-                lines.append(f"4 {a} {b} {c} {d}")
-    lines.append(f"CELL_TYPES {ncells}")
-    lines.extend(["9"] * ncells)
+    # lower-left node of every subcell, element-major then (j, i); the
+    # corners go counter-clockwise from there
+    jj, ii = np.meshgrid(np.arange(p), np.arange(p), indexing="ij")
+    a = (np.arange(mesh.num_elements)[:, None] * n1 * n1 + (jj * n1 + ii).ravel()).ravel()
+    cells = np.stack([a, a + 1, a + n1 + 1, a + n1], axis=1)
 
     flat = field.data.reshape(-1, 3)
-    lines.append(f"POINT_DATA {npoints}")
-    lines.append("SCALARS phi_prime double")
-    lines.append("LOOKUP_TABLE default")
-    for row in flat:
-        lines.append(_fmt(row[0]))
-    lines.append("VECTORS velocity double")
-    for row in flat:
-        total = phi_bar + row[0]
-        lines.append(f"{_fmt(row[1] / total)} {_fmt(row[2] / total)} 0")
+    velocity = flat[:, 1:] / (phi_bar + flat[:, :1])
+    text = "".join(
+        [
+            f"# vtk DataFile Version 3.0\n{title}\nASCII\nDATASET UNSTRUCTURED_GRID\n",
+            f"POINTS {npoints} double\n",
+            _rows("%.17g %.17g 0\n", coords),
+            f"CELLS {ncells} {5 * ncells}\n",
+            _rows("4 %d %d %d %d\n", cells),
+            f"CELL_TYPES {ncells}\n",
+            "9\n" * ncells,
+            f"POINT_DATA {npoints}\nSCALARS phi_prime double\nLOOKUP_TABLE default\n",
+            _rows("%.17g\n", flat[:, 0]),
+            "VECTORS velocity double\n",
+            _rows("%.17g %.17g 0\n", velocity),
+        ]
+    )
 
     parent = os.path.dirname(os.path.abspath(path))
     os.makedirs(parent, exist_ok=True)
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(text)
     return path
-
-
-def read_vtk_point_data(path):
-    """Parse points, phi' scalars, and velocity vectors back from a legacy
-    VTK file written by write_vtk (round-trip checks)."""
-    with open(path, "r", encoding="ascii") as fh:
-        tokens = fh.read().split("\n")
-    pidx = next(i for i, l in enumerate(tokens) if l.startswith("POINTS"))
-    npoints = int(tokens[pidx].split()[1])
-    pts = np.array([[float(v) for v in tokens[pidx + 1 + k].split()] for k in range(npoints)])
-    sidx = tokens.index("LOOKUP_TABLE default")
-    phi = np.array([float(tokens[sidx + 1 + k]) for k in range(npoints)])
-    vidx = next(i for i, l in enumerate(tokens) if l.startswith("VECTORS velocity"))
-    vel = np.array([[float(v) for v in tokens[vidx + 1 + k].split()] for k in range(npoints)])
-    return pts, phi, vel
 
 
 class CsvSeriesWriter:

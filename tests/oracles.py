@@ -2,13 +2,13 @@
 
 Everything here is deliberately written as plain scalar loops from the
 mathematical definitions, sharing nothing with the production assembly or
-solve paths beyond the basis nodes/weights/differentiation matrix (which
-have their own analytic tests).
+solve paths beyond the basis nodes/weights/differentiation matrix and the
+GLL node coordinates (which have their own analytic tests).
 """
 
 import numpy as np
 
-from swemix.mesh import SIDE_NORMALS
+from swemix.mesh import SIDE_NORMALS, gll_node_coords
 from swemix.swe import flux_full, flux_linear, flux_nonlinear, source
 
 
@@ -296,3 +296,66 @@ def fd_pde_residual(exact, params, x, y, t, eps=1e-6, linear=False, mms_source=N
     if mms_source is not None:
         res -= mms_source(x, y, t)
     return res
+
+
+# --- Legacy VTK writer and reader ---------------------------------------------
+
+def write_vtk_loop(field, mesh, basis, path, phi_bar, title="swemix snapshot"):
+    """The VTK snapshot written one value at a time: the byte-for-byte
+    reference for ``swemix.output.write_vtk``."""
+
+    def fmt(value):
+        return f"{value:.17g}"
+
+    n1 = basis.n
+    coords = gll_node_coords(mesh, basis).reshape(-1, 2)
+    npoints = coords.shape[0]
+    ncells = mesh.num_elements * basis.order**2
+
+    lines = ["# vtk DataFile Version 3.0", title, "ASCII", "DATASET UNSTRUCTURED_GRID"]
+    lines.append(f"POINTS {npoints} double")
+    for x, y in coords:
+        lines.append(f"{fmt(x)} {fmt(y)} 0")
+
+    lines.append(f"CELLS {ncells} {5 * ncells}")
+    for e in range(mesh.num_elements):
+        base = e * n1 * n1
+        for j in range(basis.order):
+            for i in range(basis.order):
+                a = base + j * n1 + i
+                b = a + 1
+                c = base + (j + 1) * n1 + i + 1
+                d = c - 1
+                lines.append(f"4 {a} {b} {c} {d}")
+    lines.append(f"CELL_TYPES {ncells}")
+    lines.extend(["9"] * ncells)
+
+    flat = field.data.reshape(-1, 3)
+    lines.append(f"POINT_DATA {npoints}")
+    lines.append("SCALARS phi_prime double")
+    lines.append("LOOKUP_TABLE default")
+    for row in flat:
+        lines.append(fmt(row[0]))
+    lines.append("VECTORS velocity double")
+    for row in flat:
+        total = phi_bar + row[0]
+        lines.append(f"{fmt(row[1] / total)} {fmt(row[2] / total)} 0")
+
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("\n".join(lines) + "\n")
+    return path
+
+
+def read_vtk_point_data(path):
+    """Parse points, phi' scalars, and velocity vectors back from a legacy
+    VTK file written by ``swemix.output.write_vtk`` (round-trip checks)."""
+    with open(path, "r", encoding="ascii") as fh:
+        tokens = fh.read().split("\n")
+    pidx = next(i for i, l in enumerate(tokens) if l.startswith("POINTS"))
+    npoints = int(tokens[pidx].split()[1])
+    pts = np.array([[float(v) for v in tokens[pidx + 1 + k].split()] for k in range(npoints)])
+    sidx = tokens.index("LOOKUP_TABLE default")
+    phi = np.array([float(tokens[sidx + 1 + k]) for k in range(npoints)])
+    vidx = next(i for i, l in enumerate(tokens) if l.startswith("VECTORS velocity"))
+    vel = np.array([[float(v) for v in tokens[vidx + 1 + k].split()] for k in range(npoints)])
+    return pts, phi, vel

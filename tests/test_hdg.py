@@ -93,6 +93,20 @@ def test_trace_system_is_symmetric_negative_definite(p, bc):
             assert np.min(np.linalg.eigvalsh(-0.5 * (H + H.T))) > 0.0
 
 
+@pytest.mark.parametrize("alpha", [1e-4, 1e-2, 1.0])
+def test_direct_backend_factors_symmetrically(alpha):
+    # -H is SPD, so the direct backend orders H symmetrically and pivots on
+    # the diagonal only: equal row and column permutations, and a fill far
+    # below the 11.4 x nnz(H) of a column ordering with partial pivoting
+    mesh = build_structured(16, 16, BOUNDS, PERIODIC, PERIODIC)
+    basis = nodal_basis(3)
+    blocks = assemble_local(mesh, basis, P2, alpha, P2.wave_speed)
+    system = condense_and_factor(blocks, mesh, basis)
+    lu = system._direct
+    assert np.array_equal(lu.perm_r, lu.perm_c)
+    assert lu.nnz <= 5 * system.H.nnz
+
+
 def test_trace_system_sparsity_is_symmetric():
     # two trace dofs couple iff their faces share an element, a symmetric
     # relation, so the nonzero pattern of H must be symmetric
@@ -216,6 +230,27 @@ def test_gmres_backend_matches_direct():
     qd, _ = direct.solve(0.03, r)
     qg, _ = gmres.solve(0.03, r)
     assert np.max(np.abs(qd.data - qg.data)) < 1e-8
+
+
+@pytest.mark.parametrize("bcs", [(WALL, WALL), (PERIODIC, PERIODIC)])
+def test_direct_gmres_and_monolithic_agree_at_random_shifts(bcs):
+    mesh = build_structured(3, 3, BOUNDS, *bcs)
+    basis = nodal_basis(2)
+    tau = P2.wave_speed
+    rng = np.random.default_rng(4)  # shifts from 2.1e-4 to 0.80
+    direct = ImplicitSolverBank(mesh, basis, P2, backend="direct")
+    gmres = ImplicitSolverBank(mesh, basis, P2, backend="gmres", rel_tol=1e-12)
+
+    def rel(a, b):
+        return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+    for alpha in 10.0 ** rng.uniform(-4.0, 0.0, size=5):
+        r = StateField(rng.standard_normal((9, 3, 3, 3)), mesh, basis)
+        q_o, lam_o = oracles.MonolithicHdg(mesh, basis, P2, alpha, tau).solve(r.data)
+        for bank in (direct, gmres):
+            q, lam = bank.solve(alpha, r)
+            assert rel(q.data, q_o) <= 1e-9, (bank.backend, alpha)
+            assert rel(lam.data.reshape(-1), lam_o) <= 1e-9, (bank.backend, alpha)
 
 
 def test_gmres_nonconvergence_reports_residual():

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+import oracles
 from swemix.basis import nodal_basis
 from swemix.dg import StateField, nodal_field
 from swemix.mesh import build_structured, gll_node_coords
-from swemix.output import CsvSeriesWriter, read_vtk_point_data, write_vtk
+from swemix.output import CsvSeriesWriter, write_vtk
 
 BOUNDS = (0.0, 1.0, 0.0, 1.0)
 
@@ -43,13 +44,28 @@ def test_vtk_roundtrip(tmp_path):
     field = StateField(data, mesh, basis)
     phi_bar = 1.7
     path = write_vtk(field, mesh, basis, str(tmp_path / "r.vtk"), phi_bar)
-    pts, phi, vel = read_vtk_point_data(path)
+    pts, phi, vel = oracles.read_vtk_point_data(path)
     ref_pts = gll_node_coords(mesh, basis).reshape(-1, 2)
     assert np.allclose(pts[:, :2], ref_pts, rtol=1e-15, atol=0)
     assert np.allclose(phi, data[..., 0].reshape(-1), rtol=1e-15, atol=0)
     total = phi_bar + data[..., 0]
     assert np.allclose(vel[:, 0], (data[..., 1] / total).reshape(-1), rtol=1e-15, atol=0)
     assert np.allclose(vel[:, 2], 0.0, atol=0)
+
+
+@pytest.mark.parametrize("bc", ["wall", "periodic"])
+def test_vtk_matches_per_value_writer(tmp_path, bc):
+    # the vectorized writer must produce exactly the bytes of the loop that
+    # formats one value at a time, signed zeros and a custom title included
+    mesh = build_structured(3, 2, BOUNDS, bc, "wall")
+    basis = nodal_basis(2)
+    rng = np.random.default_rng(5)
+    data = rng.standard_normal((6, 3, 3, 3)) * 10.0 ** rng.integers(-20, 20, size=(6, 3, 3, 3))
+    data[0, 0, 0] = [0.0, -0.0, 0.0]
+    field = StateField(data, mesh, basis)
+    new = write_vtk(field, mesh, basis, str(tmp_path / "new.vtk"), 1.3, title="t 100%")
+    old = oracles.write_vtk_loop(field, mesh, basis, str(tmp_path / "old.vtk"), 1.3, title="t 100%")
+    assert open(new, "rb").read() == open(old, "rb").read()
 
 
 def test_vtk_unwritable_path(tmp_path):
