@@ -106,6 +106,9 @@ class ElementOperators:
         Matrices evaluating the weak derivative integrals
         ``(weak_dx f)[test] = integral of f * d(test)/dx`` under GLL
         quadrature on the physical element.
+    face_nodes
+        The (4, p+1) flat node index of each face node, sides and nodes
+        ordered as in the module docstring.
     face_lift
         Four (nodes x p+1) matrices (south, east, north, west) mapping face
         nodal values g to boundary integrals ``integral_face g * test``,
@@ -121,12 +124,20 @@ class ElementOperators:
     mass_diag: np.ndarray
     weak_dx: np.ndarray
     weak_dy: np.ndarray
+    face_nodes: np.ndarray
     face_lift: tuple
     face_weights: tuple
 
     @property
     def jacobian(self):
         return 0.25 * self.hx * self.hy
+
+
+def mass_weights(basis, hx, hy):
+    """GLL quadrature weights of an hx-by-hy element, shape (p+1, p+1) in
+    (jy, ix) order: the diagonal of the collocation mass matrix."""
+    w = basis.weights
+    return 0.25 * hx * hy * np.outer(w, w)
 
 
 def element_operators(basis, hx, hy):
@@ -136,38 +147,30 @@ def element_operators(basis, hx, hy):
         raise InvalidArgumentError(f"degenerate element: hx={hx}, hy={hy}")
     w, d = basis.weights, basis.D
     n1 = basis.n
-    jac = 0.25 * hx * hy
-    mass = jac * np.outer(w, w).reshape(-1)  # [jy*n1 + ix]
 
     wd = d.T * w[None, :]  # wd[m, i] = w_i * D[i, m]
     weak_dx = np.kron(np.diag(w) * (0.5 * hy), wd)
     weak_dy = np.kron(wd * (0.5 * hx), np.diag(w))
 
+    k = np.arange(n1)
+    nodes = np.array([k, k * n1 + (n1 - 1), (n1 - 1) * n1 + k, k * n1])
     lifts = []
     fweights = []
     for side in range(4):
         horizontal = side in (0, 2)  # south/north carry x-running nodes
-        fj = 0.5 * (hx if horizontal else hy)
+        fweight = 0.5 * (hx if horizontal else hy) * w
         lift = np.zeros((n1 * n1, n1))
-        for k in range(n1):
-            if side == 0:
-                row = 0 * n1 + k
-            elif side == 1:
-                row = k * n1 + (n1 - 1)
-            elif side == 2:
-                row = (n1 - 1) * n1 + k
-            else:
-                row = k * n1 + 0
-            lift[row, k] = fj * w[k]
+        lift[nodes[side], k] = fweight
         lifts.append(lift)
-        fweights.append(fj * w)
+        fweights.append(fweight)
     return ElementOperators(
         basis=basis,
         hx=hx,
         hy=hy,
-        mass_diag=mass,
+        mass_diag=mass_weights(basis, hx, hy).reshape(-1),
         weak_dx=weak_dx,
         weak_dy=weak_dy,
+        face_nodes=nodes,
         face_lift=tuple(lifts),
         face_weights=tuple(fweights),
     )

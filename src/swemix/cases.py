@@ -8,6 +8,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .basis import mass_weights
 from .errors import InvalidArgumentError
 from .mesh import PERIODIC, WALL, gll_node_coords
 from .swe import ModelParams
@@ -224,6 +225,5 @@ def l2_error(field, exact_fn, t):
     mesh, basis = field.mesh, field.basis
     xy = gll_node_coords(mesh, basis)
     diff = field.data - exact_fn(xy[..., 0], xy[..., 1], t)
-    w = basis.weights
-    mass2d = 0.25 * mesh.hx * mesh.hy * np.outer(w, w)
+    mass2d = mass_weights(basis, mesh.hx, mesh.hy)
     return np.sqrt(np.einsum("jk,ejkc->c", mass2d, diff**2))

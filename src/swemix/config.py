@@ -65,7 +65,7 @@ class CaseConfig:
 class SolverConfig:
     backend: str = "direct"
     rel_tol: float = 1e-10
-    max_iter: int = 500
+    max_iter: int = 500  # GMRES restart cycles of 30 inner iterations (SciPy's maxiter)
 
 
 @dataclass

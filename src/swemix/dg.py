@@ -1,14 +1,16 @@
 """Explicit nodal DG residual for the nonlinear remainder of the system.
 
-The semi-discrete tendency for one element is
+The semi-discrete tendency of one element is the matrix form of nodal DG
 
-    dq/dt = M^-1 [ integral F . grad(test)  -  surface lift of fluxes ] + S
+    dq/dt = M^-1 [ Wx Fx + Wy Fy  -  LIFT fhat ] + S
 
-with Rusanov interface fluxes.  In the default ``remainder`` mode the flux
-is the nonlinear remainder and the Rusanov speed is purely advective: the
+with the weak-derivative, face-lift and diagonal mass matrices of
+:func:`swemix.basis.element_operators`, which the implicit HDG solve also
+uses, and Rusanov interface fluxes fhat.  By default the flux is the
+nonlinear remainder and the Rusanov speed is purely advective: the
 gravity-wave speed is excluded because the fast wave is handled by the
-implicit operator.  The ``full`` mode discretizes the complete flux with
-the standard speed |u.n| + sqrt(phi); it exists for explicit control runs
+implicit operator.  The ``full`` flux is the complete one with the
+standard speed |u.n| + sqrt(phi); it exists for explicit control runs
 that demonstrate the time-step restriction the splitting removes.
 
 Wall faces use a reflected ghost state (normal momentum negated, the rest
@@ -22,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import swe
-from .errors import DryStateError, InvalidArgumentError
-from .mesh import EAST, NORTH, SOUTH, WEST
+from .basis import element_operators
+from .errors import DryStateError
 
 
 @dataclass
@@ -82,21 +84,17 @@ def nodal_field(mesh, basis, fn, t=None):
     return StateField(np.asarray(values, dtype=float), mesh, basis)
 
 
-def rusanov_flux(q_minus, q_plus, normal, params, mode="remainder"):
+def rusanov_flux(q_minus, q_plus, normal, params, full=False):
     """Rusanov flux through a face with unit normal pointing from minus to plus.
 
-    mode="remainder" penalizes with the advective speed max|u.n| only;
-    mode="full" uses |u.n| + sqrt(phi), the full wave speed.
+    By default the flux is the nonlinear remainder, penalized with the
+    advective speed max|u.n| only; ``full`` takes the complete flux and
+    the full wave speed |u.n| + sqrt(phi).
     """
     q_minus = np.asarray(q_minus, dtype=float)
     q_plus = np.asarray(q_plus, dtype=float)
     normal = np.asarray(normal, dtype=float)
-    if mode == "remainder":
-        flux_fn = swe.flux_nonlinear
-    elif mode == "full":
-        flux_fn = swe.flux_full
-    else:
-        raise InvalidArgumentError(f"unknown flux mode {mode!r}")
+    flux_fn = swe.flux_full if full else swe.flux_nonlinear
     f_minus = flux_fn(q_minus, params)
     f_plus = flux_fn(q_plus, params)
     normal_flux = 0.5 * np.einsum("...dc,...d->...c", f_minus + f_plus, normal)
@@ -106,7 +104,7 @@ def rusanov_flux(q_minus, q_plus, normal, params, mode="remainder"):
     un_minus = (q_minus[..., swe.MX] * normal[..., 0] + q_minus[..., swe.MY] * normal[..., 1]) / phi_minus
     un_plus = (q_plus[..., swe.MX] * normal[..., 0] + q_plus[..., swe.MY] * normal[..., 1]) / phi_plus
     smax = np.maximum(np.abs(un_minus), np.abs(un_plus))
-    if mode == "full":
+    if full:
         smax = smax + np.sqrt(np.maximum(phi_minus, phi_plus))
     return normal_flux - 0.5 * smax[..., None] * (q_plus - q_minus)
 
@@ -122,7 +120,7 @@ def _check_wet(data, params):
 
 
 class ExplicitOperator:
-    """Precomputed connectivity and quadrature for tendency evaluation.
+    """Connectivity and element operators for tendency evaluation.
 
     Construction is cheap; reuse one instance across a time march to avoid
     rebuilding index arrays every stage.
@@ -133,9 +131,9 @@ class ExplicitOperator:
 
         self.mesh = mesh
         self.basis = basis
-        w = basis.weights
-        self.mass2d = 0.25 * mesh.hx * mesh.hy * np.outer(w, w)  # (jy, ix)
-        self.wd = w[:, None] * basis.D  # wd[i, m] = w_i D[i, m]
+        self.ops = element_operators(basis, mesh.hx, mesh.hy)
+        self.mass2d = self.ops.mass_diag.reshape(basis.n, basis.n)  # (jy, ix)
+        self.lift = np.hstack(self.ops.face_lift)  # (nodes, side-major face nodes)
         self.node_xy = gll_node_coords(mesh, basis)
 
         self.left_elem = mesh.face_left[:, 0]
@@ -144,30 +142,20 @@ class ExplicitOperator:
         self.right_side = mesh.face_right[:, 1]
         self.interior = np.nonzero(self.right_elem >= 0)[0]  # interior face ids
         self.normals = mesh.face_normal
-        self.face_w = 0.5 * mesh.face_length[:, None] * w[None, :]  # (nface, p+1)
 
-    def _side_traces(self, data):
-        n1 = self.basis.n
-        traces = np.empty((data.shape[0], 4, n1, 3))
-        traces[:, SOUTH] = data[:, 0, :, :]
-        traces[:, EAST] = data[:, :, n1 - 1, :]
-        traces[:, NORTH] = data[:, n1 - 1, :, :]
-        traces[:, WEST] = data[:, :, 0, :]
-        return traces
-
-    def tendency(self, data, t, params, extra_source=None, mode="remainder"):
-        """Semi-discrete tendency for nodal data (nelem, p+1, p+1, 3)."""
+    def tendency(self, data, t, params, extra_source=None, full=False):
+        """Semi-discrete tendency for nodal data (nelem, p+1, p+1, 3);
+        ``full`` selects the complete flux as in :func:`rusanov_flux`."""
         _check_wet(data, params)
-        mesh, basis = self.mesh, self.basis
-        n1 = basis.n
-        w = basis.weights
-        flux_fn = swe.flux_nonlinear if mode == "remainder" else swe.flux_full
+        ops = self.ops
+        nelem, n1 = data.shape[0], self.basis.n
+        flat = data.reshape(nelem, n1 * n1, 3)
+        flux_fn = swe.flux_full if full else swe.flux_nonlinear
 
-        flux = flux_fn(data, params)  # (e, jy, ix, 2, 3)
-        vol = 0.5 * mesh.hy * np.einsum("n,im,enic->enmc", w, self.wd, flux[..., 0, :])
-        vol += 0.5 * mesh.hx * np.einsum("m,jn,ejmc->enmc", w, self.wd, flux[..., 1, :])
+        flux = flux_fn(flat, params)  # (e, node, 2, 3)
+        resid = ops.weak_dx @ flux[..., 0, :] + ops.weak_dy @ flux[..., 1, :]
 
-        traces = self._side_traces(data)
+        traces = flat[:, ops.face_nodes]  # (e, side, face node, 3)
         q_left = traces[self.left_elem, self.left_side]  # (nface, p+1, 3)
         q_right = q_left.copy()
         normals = self.normals[:, None, :]
@@ -178,19 +166,13 @@ class ExplicitOperator:
         ids = self.interior
         q_right[ids] = traces[self.right_elem[ids], self.right_side[ids]]
 
-        fhat = rusanov_flux(q_left, q_right, normals, params, mode=mode)
-        fhat_w = fhat * self.face_w[:, :, None]
+        fhat = rusanov_flux(q_left, q_right, normals, params, full)
+        side_flux = np.zeros((nelem, 4, n1, 3))
+        side_flux[self.left_elem, self.left_side] = fhat
+        side_flux[self.right_elem[ids], self.right_side[ids]] = -fhat[ids]
+        resid -= self.lift @ side_flux.reshape(nelem, 4 * n1, 3)
 
-        side_acc = np.zeros((mesh.num_elements, 4, n1, 3))
-        side_acc[self.left_elem, self.left_side] = fhat_w
-        side_acc[self.right_elem[ids], self.right_side[ids]] = -fhat_w[ids]
-
-        vol[:, 0, :, :] -= side_acc[:, SOUTH]
-        vol[:, n1 - 1, :, :] -= side_acc[:, NORTH]
-        vol[:, :, n1 - 1, :] -= side_acc[:, EAST]
-        vol[:, :, 0, :] -= side_acc[:, WEST]
-
-        out = vol / self.mass2d[None, :, :, None]
+        out = (resid / ops.mass_diag[:, None]).reshape(data.shape)
         x, y = self.node_xy[..., 0], self.node_xy[..., 1]
         out += swe.source(data, x, y, t, params)
         if extra_source is not None:

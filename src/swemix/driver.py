@@ -14,9 +14,9 @@ from typing import Optional
 import numpy as np
 
 from . import imex
-from .basis import nodal_basis
+from .basis import mass_weights, nodal_basis
 from .cases import l2_error, make_case
-from .config import CaseConfig, Config, DiscConfig, MeshConfig, PhysicsConfig, TimeConfig
+from .config import CaseConfig, Config, DiscConfig, MeshConfig, PhysicsConfig, TimeConfig, validate
 from .dg import ExplicitOperator, StateField, nodal_field
 from .errors import DryStateError, InvalidArgumentError
 from .hdg import ImplicitSolverBank
@@ -47,13 +47,13 @@ class SplitOperator:
         self.params = params
         self.extra_source = extra_source
         self.linear_mode = linear_mode
-        self.flux_mode = "remainder" if bank is not None else "full"
+        self.full_flux = bank is None
 
     def explicit_tendency(self, q, t):
         if self.linear_mode:
             return q.zeros_like()
         out = self.dg_op.tendency(
-            q.data, t, self.params, extra_source=self.extra_source, mode=self.flux_mode
+            q.data, t, self.params, extra_source=self.extra_source, full=self.full_flux
         )
         return StateField(out, q.mesh, q.basis)
 
@@ -136,17 +136,13 @@ def build_simulation(cfg):
 
 def total_mass(field, params):
     """Integral of the total geopotential phi over the domain."""
-    mesh, basis = field.mesh, field.basis
-    w = basis.weights
-    mass2d = 0.25 * mesh.hx * mesh.hy * np.outer(w, w)
+    mass2d = mass_weights(field.basis, field.mesh.hx, field.mesh.hy)
     return float(np.einsum("jk,ejk->", mass2d, params.phi_bar + field.phi_prime))
 
 
 def energy_proxy(field, params):
     """0.5 * integral of (|U|^2 / phi_bar + phi'^2); monitored, not conserved."""
-    mesh, basis = field.mesh, field.basis
-    w = basis.weights
-    mass2d = 0.25 * mesh.hx * mesh.hy * np.outer(w, w)
+    mass2d = mass_weights(field.basis, field.mesh.hx, field.mesh.hy)
     dens = (field.momentum_x**2 + field.momentum_y**2) / params.phi_bar + field.phi_prime**2
     return float(0.5 * np.einsum("jk,ejk->", mass2d, dens))
 
@@ -271,7 +267,8 @@ def convergence(cfg, levels, mode):
     fixed dt.  mode="temporal": levels are step counts over t_final on the
     config's fixed mesh.  Levels must at least halve the spacing end to end
     to make the pairwise log2 rates meaningful; the usual usage doubles
-    each level.
+    each level.  Levels must be distinct and at least 1, and each level's
+    configuration is validated before it runs.
     """
     import copy
 
@@ -279,6 +276,8 @@ def convergence(cfg, levels, mode):
         raise InvalidArgumentError("need at least 2 refinement levels")
     if mode not in ("spatial", "temporal"):
         raise InvalidArgumentError(f"mode must be 'spatial' or 'temporal', got {mode!r}")
+    if min(levels) < 1 or len(set(levels)) != len(levels):
+        raise InvalidArgumentError(f"refinement levels must be distinct and >= 1, got {list(levels)}")
     errors = []
     spacings = []
     for lev in levels:
@@ -292,7 +291,7 @@ def convergence(cfg, levels, mode):
             n = int(lev)
             c.time.dt = cfg.time.t_final / n
             spacings.append(c.time.dt)
-        errors.append(_run_error(c))
+        errors.append(_run_error(validate(c)))
     errors = np.array(errors)
     spacings = np.array(spacings)
     with np.errstate(divide="ignore", invalid="ignore"):

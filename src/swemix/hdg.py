@@ -94,7 +94,9 @@ def local_matrices(mesh, basis, params, alpha_dt, tau):
     for side in range(4):
         nx, ny = SIDE_NORMALS[side]
         lift = ops.face_lift[side]  # (nn, n1), includes face weights
-        trace = lift @ (lift != 0.0).T  # lifts the element's own values on this side
+        nodes = ops.face_nodes[side]
+        trace = np.zeros((nn, nn))  # lifts the element's own values on this side
+        trace[nodes, nodes] = ops.face_weights[side]
         cols = slice(side * n1, (side + 1) * n1)
         A[sl[0], sl[0]] += a * tau * trace
         A[sl[0], sl[1]] += a * nx * trace

@@ -211,20 +211,25 @@ def _reflect(q, nx, ny):
     return np.array([q[0], q[1] - 2.0 * un * nx, q[2] - 2.0 * un * ny])
 
 
-def _rusanov_pointwise(qm, qp, nx, ny, params):
-    fm = flux_nonlinear(qm, params)
-    fp = flux_nonlinear(qp, params)
+def _rusanov_pointwise(qm, qp, nx, ny, params, full):
+    flux = flux_full if full else flux_nonlinear
+    fm = flux(qm, params)
+    fp = flux(qp, params)
     central = 0.5 * (fm[0] + fp[0]) * nx + 0.5 * (fm[1] + fp[1]) * ny
     phim = params.phi_bar + qm[0]
     phip = params.phi_bar + qp[0]
     smax = max(abs((qm[1] * nx + qm[2] * ny) / phim), abs((qp[1] * nx + qp[2] * ny) / phip))
+    if full:
+        smax += np.sqrt(max(phim, phip))
     return central - 0.5 * smax * (qp - qm)
 
 
-def dense_dg_weak_residual(basis, hx, hy, state_fn, params, n_quad):
+def dense_dg_weak_residual(basis, hx, hy, state_fn, params, n_quad, full=False):
     """Weak residual (volume - surface) for one wall-bounded element on
-    [0, hx] x [0, hy], with the nonlinear remainder flux and reflected wall
-    ghosts, integrated with an n_quad-point Gauss rule.
+    [0, hx] x [0, hy], with reflected wall ghosts, integrated with an
+    n_quad-point Gauss rule.  The flux is the nonlinear remainder with the
+    advective Rusanov speed |u.n|, or with ``full`` the complete flux with
+    the speed |u.n| + sqrt(phi).
 
     ``state_fn(x, y) -> (3,)`` must be exactly representable in the basis so
     the only difference from the production path is the quadrature.
@@ -243,7 +248,7 @@ def dense_dg_weak_residual(basis, hx, hy, state_fn, params, n_quad):
             x = 0.5 * (xa + 1.0) * hx
             y = 0.5 * (yb + 1.0) * hy
             q = state_fn(x, y)
-            f = flux_nonlinear(q, params)
+            f = (flux_full if full else flux_nonlinear)(q, params)
             wq = gw[a] * gw[b] * jac
             for n in range(n1):
                 for m in range(n1):
@@ -265,7 +270,7 @@ def dense_dg_weak_residual(basis, hx, hy, state_fn, params, n_quad):
             else:
                 x, y = 0.0, 0.5 * (sa + 1.0) * hy
             q = state_fn(x, y)
-            fhat = _rusanov_pointwise(q, _reflect(q, nx, ny), nx, ny, params)
+            fhat = _rusanov_pointwise(q, _reflect(q, nx, ny), nx, ny, params, full)
             wq = gw[a] * fj
             for n in range(n1):
                 for m in range(n1):

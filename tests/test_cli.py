@@ -1,5 +1,7 @@
 import os
 
+import pytest
+
 from swemix.cli import main
 
 CONFIG = """
@@ -54,6 +56,19 @@ def test_convergence_single_level_fails(tmp_path, capsys):
     cfg = tmp_path / "conv.cfg"
     cfg.write_text(CONFIG.format(out=tmp_path / "out"))
     assert main(["convergence", str(cfg), "--levels", "4", "--mode", "spatial"]) == 1
+
+
+@pytest.mark.parametrize(
+    "levels, mode",
+    [(["4", "4"], "spatial"), (["2", "-4"], "temporal"), (["2", "0"], "temporal")],
+    ids=["4-4", "2-minus4-temporal", "2-0-temporal"],
+)
+def test_convergence_degenerate_levels_fail(tmp_path, capsys, levels, mode):
+    cfg = tmp_path / "conv.cfg"
+    cfg.write_text(CONFIG.format(out=tmp_path / "out"))
+    assert main(["convergence", str(cfg), "--levels", *levels, "--mode", mode]) == 1
+    assert "refinement levels must be distinct and >= 1" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out")
 
 
 def test_tableau_check_subcommand(capsys):

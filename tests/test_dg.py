@@ -80,13 +80,16 @@ def test_rest_state_zero_tendency_exactly():
     assert np.array_equal(tend, np.zeros_like(tend))
 
 
-def test_dense_quadrature_oracle_single_element():
+@pytest.mark.parametrize("full", [False, True], ids=["remainder", "full"])
+@pytest.mark.parametrize("hx, hy", [(1.0, 1.0), (0.5, 2.0)], ids=["square", "0.5x2"])
+def test_dense_quadrature_oracle_single_element(full, hx, hy):
     # phi' constant and strictly positive linear momenta keep every
     # integrand inside both quadratures' exactness ranges, so the two
-    # assemblies must agree to roundoff.
+    # assemblies must agree to roundoff.  A non-square element tells the
+    # x and y scalings apart.
     p = 2
     basis = nodal_basis(p)
-    mesh = build_structured(1, 1, (0.0, 1.0, 0.0, 1.0), WALL, WALL)
+    mesh = build_structured(1, 1, (0.0, hx, 0.0, hy), WALL, WALL)
 
     def state_fn(x, y):
         x = np.asarray(x, dtype=float)
@@ -94,9 +97,9 @@ def test_dense_quadrature_oracle_single_element():
 
     field = nodal_field(mesh, basis, state_fn)
     op = ExplicitOperator(mesh, basis)
-    tend = op.tendency(field.data, 0.0, P1)
+    tend = op.tendency(field.data, 0.0, P1, full=full)
     residual = tend[0] * op.mass2d[:, :, None]
-    expected = oracles.dense_dg_weak_residual(basis, 1.0, 1.0, state_fn, P1, n_quad=p + 2)
+    expected = oracles.dense_dg_weak_residual(basis, hx, hy, state_fn, P1, n_quad=p + 2, full=full)
     assert np.max(np.abs(residual - expected)) < 1e-10
 
 

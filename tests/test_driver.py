@@ -5,7 +5,7 @@ import pytest
 
 from swemix import imex
 from swemix.basis import nodal_basis
-from swemix.config import parse_text
+from swemix.config import CaseConfig, Config, parse_text
 from swemix.dg import ExplicitOperator, nodal_field
 from swemix.driver import (
     SplitOperator,
@@ -16,7 +16,7 @@ from swemix.driver import (
     run,
     total_mass,
 )
-from swemix.errors import InvalidArgumentError
+from swemix.errors import InvalidArgumentError, InvalidValueError
 from swemix.hdg import ImplicitSolverBank
 from swemix.mesh import build_structured
 from swemix.swe import ModelParams
@@ -141,7 +141,7 @@ def test_explicit_only_operator_identity_solve():
     q = nodal_field(mesh, basis, lambda x, y: np.stack(
         [0.0 * x + 0.01, 0.1 * x, 0.0 * x], axis=-1))
     assert pair.implicit_solve(0.3, q) is q
-    full = dg_op.tendency(q.data, 0.0, params, mode="full")
+    full = dg_op.tendency(q.data, 0.0, params, full=True)
     assert np.array_equal(pair.explicit_tendency(q, 0.0).data, full)
 
 
@@ -151,6 +151,25 @@ def test_convergence_requires_two_levels():
         convergence(cfg, [8], "spatial")
     with pytest.raises(InvalidArgumentError):
         convergence(cfg, [8, 16], "sideways")
+
+
+@pytest.mark.parametrize(
+    "levels, mode",
+    [([4, 4], "spatial"), ([4, 8, 4], "spatial"), ([0, 4], "spatial"), ([2, -4], "temporal"), ([2, 0], "temporal")],
+    ids=["4-4", "4-8-4", "0-4", "2-minus4-temporal", "2-0-temporal"],
+)
+def test_convergence_rejects_degenerate_levels(levels, mode):
+    cfg = _cfg("case.name = standing_wave\ncase.linear_mode = true\ntime.dt = 0.01\ntime.t_final = 0.02\n")
+    with pytest.raises(InvalidArgumentError, match="levels"):
+        convergence(cfg, levels, mode)
+
+
+def test_convergence_validates_each_level():
+    # A Config built in code skips parse_text's validation; its dt = 0
+    # must be rejected before the first level runs.
+    cfg = Config(case=CaseConfig(name="standing_wave", linear_mode=True))
+    with pytest.raises(InvalidValueError, match="time.dt"):
+        convergence(cfg, [2, 4], "spatial")
 
 
 def test_convergence_spatial_smoke(tmp_path):
