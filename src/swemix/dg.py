@@ -13,10 +13,16 @@ implicit operator.  The ``full`` flux is the complete one with the
 standard speed |u.n| + sqrt(phi); it exists for explicit control runs
 that demonstrate the time-step restriction the splitting removes.
 
+The flux is evaluated once per stage, at the element nodes.  The volume
+term uses it whole, and the Rusanov flux reads both sides' normal fluxes
+F.n at the face nodes from it, so interior faces need no new evaluation.
 Wall faces use a reflected ghost state (normal momentum negated, the rest
-copied); periodic faces read the wrapped neighbor through the shared face.
-Face contributions are computed in one pass over the fixed face ordering
-and scattered back per element, so results are deterministic.
+copied), formed on wall faces only; the ghosts are the only states whose
+flux is evaluated again.  Periodic faces read the wrapped neighbor through
+the shared face.  Face contributions are computed in one pass over the
+fixed face ordering and gathered back per element side, so results are
+deterministic.  A dry state is located by element only once the flux
+evaluation has raised.
 """
 
 from dataclasses import dataclass
@@ -84,39 +90,41 @@ def nodal_field(mesh, basis, fn, t=None):
     return StateField(np.asarray(values, dtype=float), mesh, basis)
 
 
-def rusanov_flux(q_minus, q_plus, normal, params, full=False):
+def rusanov_flux(q_minus, q_plus, fn_minus, fn_plus, normal, params, full=False):
     """Rusanov flux through a face with unit normal pointing from minus to plus.
 
-    By default the flux is the nonlinear remainder, penalized with the
-    advective speed max|u.n| only; ``full`` takes the complete flux and
-    the full wave speed |u.n| + sqrt(phi).
+    ``fn_minus`` and ``fn_plus`` are the normal fluxes F(q).n of the two
+    states, both dotted with ``normal``.  By default F is the nonlinear
+    remainder, penalized with the advective speed max|u.n| only; ``full``
+    takes the complete flux and the full wave speed |u.n| + sqrt(phi).
+    Raises DryStateError if either side has a non-positive geopotential.
     """
     q_minus = np.asarray(q_minus, dtype=float)
     q_plus = np.asarray(q_plus, dtype=float)
+    fn_minus = np.asarray(fn_minus, dtype=float)
     normal = np.asarray(normal, dtype=float)
-    flux_fn = swe.flux_full if full else swe.flux_nonlinear
-    f_minus = flux_fn(q_minus, params)
-    f_plus = flux_fn(q_plus, params)
-    normal_flux = 0.5 * np.einsum("...dc,...d->...c", f_minus + f_plus, normal)
-
     phi_minus = params.phi_bar + q_minus[..., swe.PHI]
     phi_plus = params.phi_bar + q_plus[..., swe.PHI]
+    if np.any(phi_minus <= 0.0) or np.any(phi_plus <= 0.0):
+        low = min(np.min(phi_minus), np.min(phi_plus))
+        raise DryStateError(f"non-positive geopotential on a face (min {low:.3e})")
     un_minus = (q_minus[..., swe.MX] * normal[..., 0] + q_minus[..., swe.MY] * normal[..., 1]) / phi_minus
     un_plus = (q_plus[..., swe.MX] * normal[..., 0] + q_plus[..., swe.MY] * normal[..., 1]) / phi_plus
     smax = np.maximum(np.abs(un_minus), np.abs(un_plus))
     if full:
         smax = smax + np.sqrt(np.maximum(phi_minus, phi_plus))
-    return normal_flux - 0.5 * smax[..., None] * (q_plus - q_minus)
+    return 0.5 * (fn_minus + fn_plus) - 0.5 * smax[..., None] * (q_plus - q_minus)
 
 
-def _check_wet(data, params):
+def _dry_element_error(data, params):
+    """The DryStateError naming the first element with a non-positive
+    geopotential; called only after a flux evaluation has found one."""
     phi = params.phi_bar + data[..., swe.PHI]
-    if np.any(phi <= 0.0):
-        bad = int(np.argwhere(np.min(phi, axis=(1, 2)) <= 0.0)[0, 0])
-        raise DryStateError(
-            f"non-positive geopotential in element {bad} (min {np.min(phi):.3e})",
-            element=bad,
-        )
+    bad = int(np.argwhere(np.min(phi, axis=(1, 2)) <= 0.0)[0, 0])
+    return DryStateError(
+        f"non-positive geopotential in element {bad} (min {np.min(phi):.3e})",
+        element=bad,
+    )
 
 
 class ExplicitOperator:
@@ -127,54 +135,88 @@ class ExplicitOperator:
     """
 
     def __init__(self, mesh, basis):
-        from .mesh import gll_node_coords
+        from .mesh import SIDE_NORMALS, gll_node_coords
 
         self.mesh = mesh
         self.basis = basis
         self.ops = element_operators(basis, mesh.hx, mesh.hy)
         self.mass2d = self.ops.mass_diag.reshape(basis.n, basis.n)  # (jy, ix)
+        # The flux tensor read as (e, 2 * nodes, 3) interleaves x and y per
+        # node; the volume matrix interleaves weak_dx and weak_dy to match.
+        nodes = basis.n * basis.n
+        self.weak = np.stack([self.ops.weak_dx, self.ops.weak_dy], axis=2).reshape(nodes, 2 * nodes)
         self.lift = np.hstack(self.ops.face_lift)  # (nodes, side-major face nodes)
         self.node_xy = gll_node_coords(mesh, basis)
 
-        self.left_elem = mesh.face_left[:, 0]
-        self.left_side = mesh.face_left[:, 1]
-        self.right_elem = mesh.face_right[:, 0]
-        self.right_side = mesh.face_right[:, 1]
-        self.interior = np.nonzero(self.right_elem >= 0)[0]  # interior face ids
-        self.normals = mesh.face_normal
+        # Every side is axis-aligned, so its outward normal flux is one
+        # flux axis, signed: rows of the (e, 2 * nodes, 3) flux.
+        axis = np.argmax(np.abs(SIDE_NORMALS), axis=1)
+        self.side_flux_rows = (2 * self.ops.face_nodes + axis[:, None]).ravel()
+        self.side_sign = np.repeat(SIDE_NORMALS[np.arange(4), axis], basis.n)[:, None]
+
+        # Faces address element sides as 4 * element + side.  A wall face
+        # reads its own minus side as the plus side until the reflection.
+        left, right = mesh.face_left, mesh.face_right
+        self.minus = 4 * left[:, 0] + left[:, 1]
+        self.plus = np.where(right[:, 0] >= 0, 4 * right[:, 0] + right[:, 1], self.minus)
+        self.wall = np.nonzero(right[:, 0] < 0)[0]
+        self.normals = mesh.face_normal[:, None, :]
+        # Each element side's face, and +1 or -1 to turn the face flux outward.
+        self.side_face = mesh.elem_faces.reshape(-1)
+        outward = self.minus[self.side_face] == np.arange(self.side_face.size)
+        self.side_face_sign = np.where(outward, 1.0, -1.0)[:, None, None]
 
     def tendency(self, data, t, params, extra_source=None, full=False):
         """Semi-discrete tendency for nodal data (nelem, p+1, p+1, 3);
         ``full`` selects the complete flux as in :func:`rusanov_flux`."""
-        _check_wet(data, params)
-        ops = self.ops
         nelem, n1 = data.shape[0], self.basis.n
         flat = data.reshape(nelem, n1 * n1, 3)
         flux_fn = swe.flux_full if full else swe.flux_nonlinear
+        try:
+            flux = flux_fn(flat, params).reshape(nelem, -1, 3)
+        except DryStateError as exc:
+            raise _dry_element_error(data, params) from exc
 
-        flux = flux_fn(flat, params)  # (e, node, 2, 3)
-        resid = ops.weak_dx @ flux[..., 0, :] + ops.weak_dy @ flux[..., 1, :]
+        resid = self.weak @ flux
+        # The outward normal flux F.n at every element side's nodes, read
+        # from the volume flux: (nelem, 4, p+1, 3) stored as (nelem, 4 (p+1), 3).
+        normal_flux = np.take(flux, self.side_flux_rows, axis=1)
+        del flux  # only the side values are needed from here on
+        normal_flux *= self.side_sign
+        resid -= self.lift @ self._side_fluxes(flat, normal_flux, params, flux_fn, full)
 
-        traces = flat[:, ops.face_nodes]  # (e, side, face node, 3)
-        q_left = traces[self.left_elem, self.left_side]  # (nface, p+1, 3)
-        q_right = q_left.copy()
-        normals = self.normals[:, None, :]
-        # Wall ghost: reflect the normal momentum.
-        un = q_left[..., swe.MX] * normals[..., 0] + q_left[..., swe.MY] * normals[..., 1]
-        q_right[..., swe.MX] -= 2.0 * un * normals[..., 0]
-        q_right[..., swe.MY] -= 2.0 * un * normals[..., 1]
-        ids = self.interior
-        q_right[ids] = traces[self.right_elem[ids], self.right_side[ids]]
-
-        fhat = rusanov_flux(q_left, q_right, normals, params, full)
-        side_flux = np.zeros((nelem, 4, n1, 3))
-        side_flux[self.left_elem, self.left_side] = fhat
-        side_flux[self.right_elem[ids], self.right_side[ids]] = -fhat[ids]
-        resid -= self.lift @ side_flux.reshape(nelem, 4 * n1, 3)
-
-        out = (resid / ops.mass_diag[:, None]).reshape(data.shape)
+        resid /= self.ops.mass_diag[:, None]
+        out = resid.reshape(data.shape)
         x, y = self.node_xy[..., 0], self.node_xy[..., 1]
         out += swe.source(data, x, y, t, params)
         if extra_source is not None:
             out += extra_source(x, y, t)
         return out
+
+    def _side_fluxes(self, flat, normal_flux, params, flux_fn, full):
+        """Rusanov flux out of every element side, (nelem, 4 (p+1), 3).
+
+        Interior faces take both sides' states and normal fluxes from the
+        elements; only the reflected ghosts of wall faces need a new flux
+        evaluation.
+        """
+        n1 = self.basis.n
+        traces = np.take(flat, self.ops.face_nodes.ravel(), axis=1).reshape(-1, n1, 3)
+        normal_flux = normal_flux.reshape(-1, n1, 3)
+        q_minus, q_plus = traces[self.minus], traces[self.plus]
+        fn_minus, fn_plus = normal_flux[self.minus], normal_flux[self.plus]
+        np.negative(fn_plus, out=fn_plus)  # the plus side's outward normal is -n
+        if self.wall.size:
+            # Wall ghost: the inner state with its normal momentum reflected.
+            normals = self.normals[self.wall]
+            ghost = q_minus[self.wall]
+            un = ghost[..., swe.MX] * normals[..., 0] + ghost[..., swe.MY] * normals[..., 1]
+            ghost[..., swe.MX] -= 2.0 * un * normals[..., 0]
+            ghost[..., swe.MY] -= 2.0 * un * normals[..., 1]
+            q_plus[self.wall] = ghost
+            fn_plus[self.wall] = np.einsum("...dc,...d->...c", flux_fn(ghost, params), normals)
+
+        fhat = rusanov_flux(q_minus, q_plus, fn_minus, fn_plus, self.normals, params, full)
+        side_flux = fhat[self.side_face]
+        side_flux *= self.side_face_sign
+        return side_flux.reshape(flat.shape[0], -1, 3)

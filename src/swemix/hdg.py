@@ -187,8 +187,10 @@ def condense_and_factor(blocks, mesh, basis, backend="direct", rel_tol=1e-10, ma
     n1 = basis.n
     ndof = mesh.num_faces * n1
     ids = _trace_ids(mesh, n1)
-    rows = np.repeat(ids, 4 * n1, axis=1).ravel()
-    cols = np.tile(ids, (1, 4 * n1)).ravel()
+    # int32 triplets, the index type H ends up with, halve their memory.
+    ids32 = ids.astype(np.int32)
+    rows = np.repeat(ids32, 4 * n1, axis=1).ravel()
+    cols = np.tile(ids32, (1, 4 * n1)).ravel()
     data = np.tile(blocks.schur.ravel(), mesh.num_elements)
     H = scipy.sparse.coo_matrix((data, (rows, cols)), shape=(ndof, ndof)).tocsc()
     del rows, cols, data  # free the triplets before the factorization

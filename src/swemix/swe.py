@@ -66,9 +66,8 @@ def flux_full(q, params):
     flux = np.empty(q.shape[:-1] + (2, 3))
     flux[..., 0, PHI] = u_mom
     flux[..., 0, MX] = u_mom**2 / phi + pressure
-    flux[..., 0, MY] = u_mom * v_mom / phi
+    flux[..., 0, MY] = flux[..., 1, MX] = u_mom * v_mom / phi
     flux[..., 1, PHI] = v_mom
-    flux[..., 1, MX] = u_mom * v_mom / phi
     flux[..., 1, MY] = v_mom**2 / phi + pressure
     return flux
 
@@ -96,8 +95,7 @@ def flux_nonlinear(q, params):
     tail = 0.5 * q[..., PHI] ** 2
     flux = np.zeros(q.shape[:-1] + (2, 3))
     flux[..., 0, MX] = u_mom**2 / phi + tail
-    flux[..., 0, MY] = u_mom * v_mom / phi
-    flux[..., 1, MX] = u_mom * v_mom / phi
+    flux[..., 0, MY] = flux[..., 1, MX] = u_mom * v_mom / phi
     flux[..., 1, MY] = v_mom**2 / phi + tail
     return flux
 

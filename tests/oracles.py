@@ -3,11 +3,14 @@
 Everything here is deliberately written as plain scalar loops from the
 mathematical definitions, sharing nothing with the production assembly or
 solve paths beyond the basis nodes/weights/differentiation matrix and the
-GLL node coordinates (which have their own analytic tests).
+GLL node coordinates (which have their own analytic tests).  The one
+exception is ``face_path_tendency``, which checks only the face path of
+the explicit tendency and so takes the element operators as given.
 """
 
 import numpy as np
 
+from swemix.basis import element_operators
 from swemix.mesh import SIDE_NORMALS, gll_node_coords
 from swemix.swe import flux_full, flux_linear, flux_nonlinear, source
 
@@ -285,6 +288,59 @@ def dense_dg_weak_residual(basis, hx, hy, state_fn, params, n_quad, full=False):
                     if trace:
                         res[n, m] -= wq * trace * fhat
     return res
+
+
+# --- Explicit DG tendency with the flux re-evaluated on every face ------------
+
+def face_path_tendency(mesh, basis, data, t, params, extra_source=None, full=False):
+    """The explicit DG tendency with the face path written out in full: the
+    flux is evaluated again on both traces of every face, and a reflected
+    ghost is formed on every face and then replaced by the neighbor's trace
+    on interior faces.  The reference for ``ExplicitOperator.tendency``,
+    which reads the face fluxes from its volume flux instead."""
+    ops = element_operators(basis, mesh.hx, mesh.hy)
+    lift = np.hstack(ops.face_lift)
+    nelem, n1 = data.shape[0], basis.n
+    flat = data.reshape(nelem, n1 * n1, 3)
+    flux_fn = flux_full if full else flux_nonlinear
+
+    flux = flux_fn(flat, params)
+    resid = ops.weak_dx @ flux[..., 0, :] + ops.weak_dy @ flux[..., 1, :]
+
+    left_elem, left_side = mesh.face_left[:, 0], mesh.face_left[:, 1]
+    right_elem, right_side = mesh.face_right[:, 0], mesh.face_right[:, 1]
+    ids = np.nonzero(right_elem >= 0)[0]
+    traces = flat[:, ops.face_nodes]
+    q_left = traces[left_elem, left_side]
+    q_right = q_left.copy()
+    normals = mesh.face_normal[:, None, :]
+    un = q_left[..., 1] * normals[..., 0] + q_left[..., 2] * normals[..., 1]
+    q_right[..., 1] -= 2.0 * un * normals[..., 0]
+    q_right[..., 2] -= 2.0 * un * normals[..., 1]
+    q_right[ids] = traces[right_elem[ids], right_side[ids]]
+
+    f_sum = flux_fn(q_left, params) + flux_fn(q_right, params)
+    normal_flux = 0.5 * np.einsum("...dc,...d->...c", f_sum, normals)
+    phi_left = params.phi_bar + q_left[..., 0]
+    phi_right = params.phi_bar + q_right[..., 0]
+    un_left = (q_left[..., 1] * normals[..., 0] + q_left[..., 2] * normals[..., 1]) / phi_left
+    un_right = (q_right[..., 1] * normals[..., 0] + q_right[..., 2] * normals[..., 1]) / phi_right
+    smax = np.maximum(np.abs(un_left), np.abs(un_right))
+    if full:
+        smax = smax + np.sqrt(np.maximum(phi_left, phi_right))
+    fhat = normal_flux - 0.5 * smax[..., None] * (q_right - q_left)
+
+    side_flux = np.zeros((nelem, 4, n1, 3))
+    side_flux[left_elem, left_side] = fhat
+    side_flux[right_elem[ids], right_side[ids]] = -fhat[ids]
+    resid -= lift @ side_flux.reshape(nelem, 4 * n1, 3)
+
+    out = (resid / ops.mass_diag[:, None]).reshape(data.shape)
+    xy = gll_node_coords(mesh, basis)
+    out += source(data, xy[..., 0], xy[..., 1], t, params)
+    if extra_source is not None:
+        out += extra_source(xy[..., 0], xy[..., 1], t)
+    return out
 
 
 # --- Finite-difference PDE residual -------------------------------------------

@@ -163,3 +163,80 @@ def test_l2_error_agrees_with_over_integration():
         total += jac * np.einsum("a,b,ab->", gw, gw, interp.T**2)
     dense = np.sqrt(total)
     assert abs(coarse - dense) / dense < 0.01
+
+
+# --- One-entry cache of the spatial trig products ------------------------------
+
+CACHED_CASES = {
+    "standing_wave": lambda: standing_wave(ModelParams(phi_bar=1.3), amplitude=0.006),
+    "mms_nonlinear": lambda: mms_nonlinear(ModelParams(phi_bar=1.0, f0=1.0, beta=0.4, drag=0.2), amplitude=0.05),
+}
+
+
+def _closed_forms(case):
+    forms = [case.exact_solution]
+    if case.mms_source is not None:
+        forms.append(case.mms_source)
+    return forms
+
+
+def _assert_fresh(case, build, x, y, t):
+    # each call against the same closed form of a newly built case, whose
+    # cache is empty
+    for got, fresh in zip(_closed_forms(case), _closed_forms(build())):
+        want = fresh(x, y, t)
+        assert np.array_equal(got(x, y, t), want)
+
+
+@pytest.mark.parametrize("name", sorted(CACHED_CASES))
+def test_cache_two_node_sets_alternately(name):
+    build = CACHED_CASES[name]
+    case = build()
+    rng = np.random.default_rng(1)
+    sets = [tuple(rng.uniform(0.0, 1.0, (6, 3, 3)) for _ in range(2)) for _ in range(2)]
+    for k in range(4):
+        x, y = sets[k % 2]
+        _assert_fresh(case, build, x, y, 0.3 + k)
+
+
+@pytest.mark.parametrize("name", sorted(CACHED_CASES))
+def test_cache_sees_x_mutated_in_place(name):
+    build = CACHED_CASES[name]
+    case = build()
+    rng = np.random.default_rng(2)
+    x, y = rng.uniform(0.0, 1.0, 50), rng.uniform(0.0, 1.0, 50)
+    _assert_fresh(case, build, x, y, 0.7)
+    x[17] += 0.125
+    _assert_fresh(case, build, x, y, 0.7)
+    x *= 0.5
+    _assert_fresh(case, build, x, y, 0.7)
+
+
+@pytest.mark.parametrize("name", sorted(CACHED_CASES))
+def test_cache_x_and_y_of_different_shapes(name):
+    build = CACHED_CASES[name]
+    case = build()
+    x = np.linspace(0.0, 1.0, 6)
+    y = np.linspace(0.1, 0.9, 4)[:, None]
+    _assert_fresh(case, build, x, y, 0.2)
+    assert case.exact_solution(x, y, 0.2).shape == (4, 6, 3)
+    # the same values in another shape are another node set
+    grid = np.arange(6.0).reshape(2, 3) / 7.0
+    _assert_fresh(case, build, grid, grid, 0.2)
+    _assert_fresh(case, build, grid.reshape(3, 2), grid.reshape(3, 2), 0.2)
+    assert case.exact_solution(grid.reshape(3, 2), grid.reshape(3, 2), 0.2).shape == (3, 2, 3)
+
+
+@pytest.mark.parametrize("name", sorted(CACHED_CASES))
+def test_cache_per_point_times(name):
+    build = CACHED_CASES[name]
+    case = build()
+    rng = np.random.default_rng(3)
+    x, y, t = (rng.uniform(0.05, 0.95, 40) for _ in range(3))
+    _assert_fresh(case, build, x, y, t)
+    _assert_fresh(case, build, x, y, t[::-1].copy())
+    # and pointwise: every entry is the closed form at its own time
+    for form, fresh in zip(_closed_forms(case), _closed_forms(build())):
+        rows = form(x, y, t)
+        for i in range(0, 40, 9):
+            np.testing.assert_allclose(rows[i], fresh(x[i], y[i], t[i]), rtol=1e-13, atol=1e-16)

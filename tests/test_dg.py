@@ -23,9 +23,14 @@ unit_normal = st.sampled_from(
 )
 
 
+def _normal_flux(q, n):
+    return np.einsum("dc,d->c", flux_nonlinear(q, P1), n)
+
+
 @given(state, unit_normal)
 def test_rusanov_consistency(q, n):
-    fhat = rusanov_flux(q, q, n, P1)
+    fn = _normal_flux(q, n)
+    fhat = rusanov_flux(q, q, fn, fn, n, P1)
     expected = np.einsum("dc,d->c", flux_nonlinear(q, P1), n)
     assert np.allclose(fhat, expected, rtol=0, atol=1e-15)
 
@@ -36,7 +41,7 @@ def test_rusanov_rest_states_average_pressure_remainder():
     qm = np.array([0.2, 0.0, 0.0])
     qp = np.zeros(3)
     n = np.array([1.0, 0.0])
-    fhat = rusanov_flux(qm, qp, n, P1)
+    fhat = rusanov_flux(qm, qp, _normal_flux(qm, n), _normal_flux(qp, n), n, P1)
     assert fhat[0] == 0.0
     assert abs(fhat[1] - 0.5 * 0.02) < 1e-16
     assert fhat[2] == 0.0
@@ -44,14 +49,19 @@ def test_rusanov_rest_states_average_pressure_remainder():
 
 @given(state, state, unit_normal)
 def test_rusanov_antisymmetry(qm, qp, n):
-    a = rusanov_flux(qm, qp, n, P1)
-    b = rusanov_flux(qp, qm, -n, P1)
+    a = rusanov_flux(qm, qp, _normal_flux(qm, n), _normal_flux(qp, n), n, P1)
+    b = rusanov_flux(qp, qm, _normal_flux(qp, -n), _normal_flux(qm, -n), -n, P1)
     assert np.allclose(a, -b, rtol=0, atol=1e-14)
 
 
 def test_rusanov_dry_state():
+    # the dry side has no flux (flux_nonlinear raises on it), so both sides
+    # pass the wet side's: the geopotential check alone must raise
+    qp = np.zeros(3)
+    n = np.array([1.0, 0.0])
+    fn = _normal_flux(qp, n)
     with pytest.raises(DryStateError):
-        rusanov_flux(np.array([-2.0, 0.0, 0.0]), np.zeros(3), np.array([1.0, 0.0]), P1)
+        rusanov_flux(np.array([-2.0, 0.0, 0.0]), qp, fn, fn, n, P1)
 
 
 def _random_field(mesh, basis, rng, scale=0.3):
@@ -157,3 +167,64 @@ def test_tendency_deterministic():
     a = op.tendency(field.data, 0.1, P1)
     b = op.tendency(field.data, 0.1, P1)
     assert a.tobytes() == b.tobytes()
+
+
+ROTATING = ModelParams(phi_bar=1.2, f0=0.7, beta=0.3, drag=0.15)
+
+
+def _extra_source(x, y, t):
+    return np.stack([0.1 * np.sin(3.0 * x + t), 0.2 * np.cos(2.0 * y), 0.05 * x * y], axis=-1)
+
+
+@pytest.mark.parametrize("full", [False, True], ids=["remainder", "full"])
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize(
+    "nx, ny, bcs",
+    [
+        (4, 3, (WALL, WALL)),
+        (4, 3, (PERIODIC, PERIODIC)),
+        (4, 3, (PERIODIC, WALL)),
+        (3, 4, (WALL, PERIODIC)),
+        (1, 1, (PERIODIC, PERIODIC)),
+    ],
+    ids=["wall-4x3", "periodic-4x3", "periodic-wall-4x3", "wall-periodic-3x4", "periodic-1x1"],
+)
+def test_tendency_matches_face_path_oracle(nx, ny, bcs, p, full):
+    # The oracle evaluates the flux again on both traces of every face and
+    # reflects a ghost on every face; the operator reads the face values
+    # from its volume flux and reflects wall ghosts only.
+    mesh = build_structured(nx, ny, (0.0, 1.3, -0.2, 0.9), *bcs)
+    basis = nodal_basis(p)
+    rng = np.random.default_rng(100 * p + nx + 7 * ny)
+    data = rng.uniform(-0.3, 0.3, size=(mesh.num_elements, basis.n, basis.n, 3))
+    op = ExplicitOperator(mesh, basis)
+    got = op.tendency(data, 0.4, ROTATING, extra_source=_extra_source, full=full)
+    want = oracles.face_path_tendency(mesh, basis, data, 0.4, ROTATING, extra_source=_extra_source, full=full)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("full", [False, True], ids=["remainder", "full"])
+@pytest.mark.parametrize("bcs", [(PERIODIC, PERIODIC), (PERIODIC, WALL), (WALL, WALL)])
+def test_flux_evaluated_once_per_stage(monkeypatch, bcs, full):
+    # One evaluation at the element nodes, plus one on the wall ghosts
+    # when the mesh has walls; nothing else re-evaluates the flux.
+    from swemix import swe
+
+    name = "flux_full" if full else "flux_nonlinear"
+    real = getattr(swe, name)
+    shapes = []
+
+    def counted(q, params):
+        shapes.append(np.shape(q))
+        return real(q, params)
+
+    monkeypatch.setattr(swe, name, counted)
+    mesh = build_structured(4, 3, (0.0, 1.0, 0.0, 1.0), *bcs)
+    basis = nodal_basis(2)
+    rng = np.random.default_rng(4)
+    data = rng.uniform(-0.3, 0.3, size=(mesh.num_elements, basis.n, basis.n, 3))
+    ExplicitOperator(mesh, basis).tendency(data, 0.0, P1, full=full)
+    expected = [(mesh.num_elements, basis.n * basis.n, 3)]
+    if mesh.num_boundary_faces:
+        expected.append((mesh.num_boundary_faces, basis.n, 3))
+    assert shapes == expected

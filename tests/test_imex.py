@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swemix.basis import nodal_basis
-from swemix.dg import ExplicitOperator, StateField
+from swemix.cases import lake_at_rest
+from swemix.dg import ExplicitOperator, StateField, nodal_field
 from swemix.driver import SplitOperator
 from swemix.errors import InvalidArgumentError, SolverFailureError, UnknownSchemeError
 from swemix.hdg import ImplicitSolverBank
@@ -248,3 +251,24 @@ def test_pde_run_triggers_single_factorization():
     for k in range(100):
         q = step(pair, q, k * 0.01, 0.01, tab)
     assert bank.num_assemblies == 1
+
+
+@given(
+    f0=st.floats(-5.0, 5.0),
+    beta=st.floats(-5.0, 5.0),
+    drag=st.floats(0.0, 5.0),
+    p=st.integers(1, 2),
+    scheme=st.sampled_from(["ars111", "ars222", "ars233"]),
+)
+@settings(max_examples=15)
+def test_lake_at_rest_stays_exactly_at_rest(f0, beta, drag, p, scheme):
+    params = ModelParams(phi_bar=1.0, f0=f0, beta=beta, drag=drag)
+    case = lake_at_rest(params)
+    mesh = build_structured(3, 2, case.bounds, case.bc_x, case.bc_y)
+    basis = nodal_basis(p)
+    pair = SplitOperator(ExplicitOperator(mesh, basis), ImplicitSolverBank(mesh, basis, params), params)
+    q = nodal_field(mesh, basis, case.initial_state)
+    tab = tableau(scheme)
+    for k in range(3):
+        q = step(pair, q, 0.05 * k, 0.05, tab)
+    assert not np.any(q.data)
