@@ -128,10 +128,6 @@ class ElementOperators:
     face_lift: tuple
     face_weights: tuple
 
-    @property
-    def jacobian(self):
-        return 0.25 * self.hx * self.hy
-
 
 def mass_weights(basis, hx, hy):
     """GLL quadrature weights of an hx-by-hy element, shape (p+1, p+1) in

@@ -49,10 +49,8 @@ class _SpatialTrig:
 
 def lake_at_rest(params=None):
     """Zero perturbation, zero momentum; exactly steady for any rotation and
-    drag as long as no forcing is prescribed."""
+    drag."""
     params = params or ModelParams(phi_bar=1.0)
-    if params.forcing is not None:
-        raise InvalidArgumentError("lake_at_rest is only steady without forcing")
 
     def initial(x, y):
         return np.zeros(np.shape(x) + (3,))
@@ -83,10 +81,8 @@ def standing_wave(params=None, amplitude=None):
     for the last node set it saw.
     """
     params = params or ModelParams(phi_bar=1.0)
-    if params.f0 != 0.0 or params.beta != 0.0 or params.drag != 0.0 or params.forcing is not None:
-        raise InvalidArgumentError(
-            "standing_wave is exact only for f0 = beta = drag = 0 and no forcing"
-        )
+    if params.f0 != 0.0 or params.beta != 0.0 or params.drag != 0.0:
+        raise InvalidArgumentError("standing_wave is exact only for f0 = beta = drag = 0")
     phi_bar = params.phi_bar
     if amplitude is None:
         amplitude = 0.01 * phi_bar

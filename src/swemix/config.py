@@ -172,8 +172,9 @@ def load_config(path):
 
 def validate(cfg):
     """Cross-field validation; all referenced names must resolve now."""
-    if cfg.mesh.nx < 1 or cfg.mesh.ny < 1:
-        raise InvalidValueError("mesh.nx", f"element counts must be >= 1, got {cfg.mesh.nx}x{cfg.mesh.ny}")
+    for key in ("nx", "ny"):
+        if getattr(cfg.mesh, key) < 1:
+            raise InvalidValueError(f"mesh.{key}", f"element counts must be >= 1, got {cfg.mesh.nx}x{cfg.mesh.ny}")
     for axis in ("x", "y"):
         lo = getattr(cfg.mesh, f"{axis}min")
         hi = getattr(cfg.mesh, f"{axis}max")

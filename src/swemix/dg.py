@@ -64,9 +64,6 @@ class StateField:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, scalar):
-        return StateField(self.data / scalar, self.mesh, self.basis)
-
     @property
     def phi_prime(self):
         return self.data[..., swe.PHI]
@@ -80,14 +77,12 @@ class StateField:
         return self.data[..., swe.MY]
 
 
-def nodal_field(mesh, basis, fn, t=None):
-    """Sample ``fn(x, y)`` (or ``fn(x, y, t)``) at all element nodes."""
+def nodal_field(mesh, basis, fn):
+    """Sample ``fn(x, y)`` at all element nodes."""
     from .mesh import gll_node_coords
 
     xy = gll_node_coords(mesh, basis)
-    x, y = xy[..., 0], xy[..., 1]
-    values = fn(x, y) if t is None else fn(x, y, t)
-    return StateField(np.asarray(values, dtype=float), mesh, basis)
+    return StateField(np.asarray(fn(xy[..., 0], xy[..., 1]), dtype=float), mesh, basis)
 
 
 def rusanov_flux(q_minus, q_plus, fn_minus, fn_plus, normal, params, full=False):
@@ -140,7 +135,6 @@ class ExplicitOperator:
         self.mesh = mesh
         self.basis = basis
         self.ops = element_operators(basis, mesh.hx, mesh.hy)
-        self.mass2d = self.ops.mass_diag.reshape(basis.n, basis.n)  # (jy, ix)
         # The flux tensor read as (e, 2 * nodes, 3) interleaves x and y per
         # node; the volume matrix interleaves weak_dx and weak_dy to match.
         nodes = basis.n * basis.n
@@ -188,7 +182,7 @@ class ExplicitOperator:
         resid /= self.ops.mass_diag[:, None]
         out = resid.reshape(data.shape)
         x, y = self.node_xy[..., 0], self.node_xy[..., 1]
-        out += swe.source(data, x, y, t, params)
+        out += swe.source(data, y, params)
         if extra_source is not None:
             out += extra_source(x, y, t)
         return out

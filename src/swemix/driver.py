@@ -253,19 +253,13 @@ class ConvergenceResult:
         return path
 
 
-def _run_error(cfg):
-    result = run(cfg, quiet=True)
-    if result.final_errors is None:
-        raise InvalidArgumentError("convergence study needs a case with an exact solution")
-    return result.final_errors
-
-
 def convergence(cfg, levels, mode):
     """Refinement study.
 
     mode="spatial": levels are mesh sizes (nx = ny), marched at the config's
-    fixed dt.  mode="temporal": levels are step counts over t_final on the
-    config's fixed mesh.  Levels must at least halve the spacing end to end
+    fixed dt; the spacing is the level's element width max(hx, hy).
+    mode="temporal": levels are step counts over t_final on the config's
+    fixed mesh.  Levels must at least halve the spacing end to end
     to make the pairwise log2 rates meaningful; the usual usage doubles
     each level.  Levels must be distinct and at least 1, and each level's
     configuration is validated before it runs.
@@ -286,12 +280,14 @@ def convergence(cfg, levels, mode):
         c.output.vtk_every_n_steps = 0
         if mode == "spatial":
             c.mesh.nx = c.mesh.ny = int(lev)
-            spacings.append(1.0 / int(lev))
         else:
-            n = int(lev)
-            c.time.dt = cfg.time.t_final / n
-            spacings.append(c.time.dt)
-        errors.append(_run_error(validate(c)))
+            c.time.dt = cfg.time.t_final / int(lev)
+        result = run(validate(c), quiet=True)
+        if result.final_errors is None:
+            raise InvalidArgumentError("convergence study needs a case with an exact solution")
+        mesh = result.final_field.mesh
+        spacings.append(max(mesh.hx, mesh.hy) if mode == "spatial" else c.time.dt)
+        errors.append(result.final_errors)
     errors = np.array(errors)
     spacings = np.array(spacings)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -8,8 +8,10 @@ face skeleton approximating phi', with numerical fluxes
     continuity:  U.n + tau (phi' - lambda)
     momentum:    phi_bar * lambda * n
 
-Element unknowns are ordered component-major (phi', U, V), each block in
-the flattened (jy, ix) node order.  Eliminating them element by element
+Element unknowns are ordered as :class:`swemix.dg.StateField` stores them:
+node by node in the flattened (jy, ix) order, the three components
+(phi', U, V) of a node adjacent, so the flat index of component c at node
+(jy, ix) is (jy (p+1) + ix) 3 + c.  Eliminating them element by element
 against the transmission condition (the continuity flux sums to zero over
 each face; on walls it vanishes outright, which enforces U.n = 0 weakly)
 leaves the condensed trace system
@@ -27,7 +29,8 @@ tau > 0, so the direct backend factors it with a symmetric fill-reducing
 ordering and diagonal pivots: no pivot of a definite matrix can vanish.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -45,8 +48,6 @@ class TraceField:
     """Nodal trace values (one row of p+1 values per geometric face)."""
 
     data: np.ndarray
-    mesh: object
-    basis: object
 
 
 @dataclass
@@ -81,7 +82,7 @@ def local_matrices(mesh, basis, params, alpha_dt, tau):
     C = np.zeros((4 * n1, 3 * nn))
     D = np.zeros((4 * n1, 4 * n1))
 
-    sl = [slice(c * nn, (c + 1) * nn) for c in range(3)]
+    sl = [slice(c, None, 3) for c in range(3)]
     mass = np.diag(ops.mass_diag)
     A[sl[0], sl[0]] = mass
     A[sl[1], sl[1]] = mass
@@ -109,7 +110,7 @@ def local_matrices(mesh, basis, params, alpha_dt, tau):
         C[cols, sl[2]] = ny * lift.T
         D[cols, cols] = -tau * np.diag(ops.face_weights[side])
 
-    return np.tile(ops.mass_diag, 3), A, B, C, D
+    return np.repeat(ops.mass_diag, 3), A, B, C, D
 
 
 def assemble_local(mesh, basis, params, alpha_dt, tau):
@@ -136,43 +137,17 @@ def _trace_ids(mesh, n1):
 
 @dataclass
 class CondensedSystem:
-    """Condensed trace system plus everything needed for back-substitution."""
+    """The trace matrix H, the element operators of the forward pass and
+    the back-substitution, and ``solve``, the one function that applies
+    H^-1 for the backend chosen at factorization."""
 
-    mesh: object
-    basis: object
     blocks: LocalBlocks
     H: scipy.sparse.csc_matrix
     elem_trace_ids: np.ndarray
-    backend: str
-    rel_tol: float = 1e-10
-    max_iter: int = 500
-    _direct: object = field(default=None, repr=False)
-    _precond: object = field(default=None, repr=False)
-
-    @property
-    def num_trace_dofs(self):
-        return self.H.shape[0]
+    solve: Callable
 
     def solve_trace(self, g):
-        if self.backend == "direct":
-            return self._direct.solve(g)
-        lam, info = scipy.sparse.linalg.gmres(
-            self.H,
-            g,
-            rtol=self.rel_tol,
-            atol=0.0,
-            restart=30,
-            maxiter=self.max_iter,
-            M=self._precond,
-        )
-        if info != 0:
-            res = np.linalg.norm(self.H @ lam - g) / max(np.linalg.norm(g), 1e-300)
-            raise SolverFailureError(
-                f"trace GMRES did not converge (info={info}, relative residual {res:.3e})",
-                residual=res,
-                iterations=info,
-            )
-        return lam
+        return self.solve(g)
 
 
 def condense_and_factor(blocks, mesh, basis, backend="direct", rel_tol=1e-10, max_iter=500):
@@ -182,7 +157,9 @@ def condense_and_factor(blocks, mesh, basis, backend="direct", rel_tol=1e-10, ma
     The direct backend orders H by minimum degree on its (symmetric)
     pattern and pivots on the diagonal only, which is valid because -H is
     symmetric positive definite; it stores about a quarter of the factor
-    entries of a column ordering with partial pivoting.
+    entries of a column ordering with partial pivoting.  The gmres backend
+    runs restarted GMRES to ``rel_tol`` with a per-face block-Jacobi
+    preconditioner; ``max_iter`` counts restart cycles.
     """
     n1 = basis.n
     ndof = mesh.num_faces * n1
@@ -195,31 +172,35 @@ def condense_and_factor(blocks, mesh, basis, backend="direct", rel_tol=1e-10, ma
     H = scipy.sparse.coo_matrix((data, (rows, cols)), shape=(ndof, ndof)).tocsc()
     del rows, cols, data  # free the triplets before the factorization
 
-    system = CondensedSystem(
-        mesh=mesh,
-        basis=basis,
-        blocks=blocks,
-        H=H,
-        elem_trace_ids=ids,
-        backend=backend,
-        rel_tol=rel_tol,
-        max_iter=max_iter,
-    )
     if backend == "direct":
         try:
-            system._direct = scipy.sparse.linalg.splu(
+            solve = scipy.sparse.linalg.splu(
                 H,
                 permc_spec="MMD_AT_PLUS_A",
                 diag_pivot_thresh=0.0,
                 options={"SymmetricMode": True},
-            )
+            ).solve
         except RuntimeError as exc:
             raise AssemblyError(f"condensed trace system is singular: {exc}") from exc
     elif backend == "gmres":
-        system._precond = _block_jacobi(H, mesh.num_faces, n1)
+        precond = _block_jacobi(H, mesh.num_faces, n1)
+
+        def solve(g):
+            lam, info = scipy.sparse.linalg.gmres(
+                H, g, rtol=rel_tol, atol=0.0, restart=30, maxiter=max_iter, M=precond
+            )
+            if info != 0:
+                res = np.linalg.norm(H @ lam - g) / max(np.linalg.norm(g), 1e-300)
+                raise SolverFailureError(
+                    f"trace GMRES did not converge (info={info}, relative residual {res:.3e})",
+                    residual=res,
+                    iterations=info,
+                )
+            return lam
+
     else:
         raise InvalidArgumentError(f"unknown solver backend {backend!r}")
-    return system
+    return CondensedSystem(blocks=blocks, H=H, elem_trace_ids=ids, solve=solve)
 
 
 def _block_jacobi(H, num_faces, n1):
@@ -248,24 +229,20 @@ def implicit_solve(system, rhs_field):
     system is solved, and one more batched product subtracts A^-1 B lambda.
     """
     blocks = system.blocks
-    mesh, basis = system.mesh, system.basis
     data = rhs_field.data
     if not np.all(np.isfinite(data)):
         raise SolverFailureError("implicit solve right-hand side contains non-finite values")
-    nelem, n1 = mesh.num_elements, basis.n
-    n_vol = 3 * n1 * n1
-    r_flat = np.moveaxis(data, 3, 1).reshape(nelem, n_vol)
-    y = r_flat @ blocks.forward.T
+    nelem, n_vol = data.shape[0], blocks.A_inv_B.shape[0]
+    y = data.reshape(nelem, n_vol) @ blocks.forward.T
 
     ids = system.elem_trace_ids
-    g = np.bincount(ids.ravel(), weights=y[:, n_vol:].ravel(), minlength=system.num_trace_dofs)
+    g = np.bincount(ids.ravel(), weights=y[:, n_vol:].ravel(), minlength=system.H.shape[0])
     lam = system.solve_trace(g)
 
     q = y[:, :n_vol] - lam[ids] @ blocks.A_inv_B.T
-    q_data = np.moveaxis(q.reshape(nelem, 3, n1, n1), 1, 3).copy()
     return (
-        StateField(q_data, mesh, basis),
-        TraceField(lam.reshape(mesh.num_faces, n1), mesh, basis),
+        StateField(q.reshape(data.shape), rhs_field.mesh, rhs_field.basis),
+        TraceField(lam.reshape(-1, rhs_field.basis.n)),
     )
 
 

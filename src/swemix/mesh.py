@@ -46,7 +46,6 @@ class Mesh:
     face_left: np.ndarray  # (nface, 2) = (element, side)
     face_right: np.ndarray  # (nface, 2) = (element, side) or (-1, -1) wall
     face_normal: np.ndarray  # (nface, 2) outward from the left element
-    face_length: np.ndarray  # (nface,)
 
     @property
     def num_elements(self):
@@ -57,20 +56,12 @@ class Mesh:
         return self.face_left.shape[0]
 
     @property
-    def interior_mask(self):
-        return self.face_right[:, 0] >= 0
-
-    @property
     def num_interior_faces(self):
-        return int(np.count_nonzero(self.interior_mask))
+        return int(np.count_nonzero(self.face_right[:, 0] >= 0))
 
     @property
     def num_boundary_faces(self):
         return self.num_faces - self.num_interior_faces
-
-    @property
-    def element_area(self):
-        return self.hx * self.hy
 
 
 def build_structured(nx, ny, bounds, bc_x=WALL, bc_y=WALL):
@@ -91,14 +82,13 @@ def build_structured(nx, ny, bounds, bc_x=WALL, bc_y=WALL):
     elem_y0 = (ymin + iy.reshape(-1) * hy).astype(float)
 
     elem_faces = np.full((nelem, 4), -1, dtype=int)
-    left, right, normals, lengths = [], [], [], []
+    left, right, normals = [], [], []
 
-    def add_face(l_elem, l_side, r_elem, r_side, normal, length):
+    def add_face(l_elem, l_side, r_elem, r_side, normal):
         fid = len(left)
         left.append((l_elem, l_side))
         right.append((r_elem, r_side))
         normals.append(normal)
-        lengths.append(length)
         elem_faces[l_elem, l_side] = fid
         if r_elem >= 0:
             elem_faces[r_elem, r_side] = fid
@@ -109,15 +99,15 @@ def build_structured(nx, ny, bounds, bc_x=WALL, bc_y=WALL):
             for k in range(nx):
                 e_left = jy * nx + (k - 1) % nx
                 e_right = jy * nx + k
-                add_face(e_left, EAST, e_right, WEST, (1.0, 0.0), hy)
+                add_face(e_left, EAST, e_right, WEST, (1.0, 0.0))
         else:
             for k in range(nx + 1):
                 if k == 0:
-                    add_face(jy * nx + 0, WEST, -1, -1, (-1.0, 0.0), hy)
+                    add_face(jy * nx + 0, WEST, -1, -1, (-1.0, 0.0))
                 elif k == nx:
-                    add_face(jy * nx + nx - 1, EAST, -1, -1, (1.0, 0.0), hy)
+                    add_face(jy * nx + nx - 1, EAST, -1, -1, (1.0, 0.0))
                 else:
-                    add_face(jy * nx + k - 1, EAST, jy * nx + k, WEST, (1.0, 0.0), hy)
+                    add_face(jy * nx + k - 1, EAST, jy * nx + k, WEST, (1.0, 0.0))
 
     # Horizontal faces (normals along y).
     if bc_y == PERIODIC:
@@ -125,16 +115,16 @@ def build_structured(nx, ny, bounds, bc_x=WALL, bc_y=WALL):
             for ix_ in range(nx):
                 e_below = ((k - 1) % ny) * nx + ix_
                 e_above = k * nx + ix_
-                add_face(e_below, NORTH, e_above, SOUTH, (0.0, 1.0), hx)
+                add_face(e_below, NORTH, e_above, SOUTH, (0.0, 1.0))
     else:
         for k in range(ny + 1):
             for ix_ in range(nx):
                 if k == 0:
-                    add_face(ix_, SOUTH, -1, -1, (0.0, -1.0), hx)
+                    add_face(ix_, SOUTH, -1, -1, (0.0, -1.0))
                 elif k == ny:
-                    add_face((ny - 1) * nx + ix_, NORTH, -1, -1, (0.0, 1.0), hx)
+                    add_face((ny - 1) * nx + ix_, NORTH, -1, -1, (0.0, 1.0))
                 else:
-                    add_face((k - 1) * nx + ix_, NORTH, k * nx + ix_, SOUTH, (0.0, 1.0), hx)
+                    add_face((k - 1) * nx + ix_, NORTH, k * nx + ix_, SOUTH, (0.0, 1.0))
 
     return Mesh(
         nx=nx,
@@ -153,7 +143,6 @@ def build_structured(nx, ny, bounds, bc_x=WALL, bc_y=WALL):
         face_left=np.array(left, dtype=int),
         face_right=np.array(right, dtype=int),
         face_normal=np.array(normals, dtype=float),
-        face_length=np.array(lengths, dtype=float),
     )
 
 

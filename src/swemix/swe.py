@@ -15,8 +15,6 @@ vanishes identically at rest:
 """
 
 from dataclasses import dataclass
-from typing import Callable, Optional
-
 import numpy as np
 
 from .errors import DryStateError, InvalidArgumentError
@@ -26,17 +24,12 @@ PHI, MX, MY = 0, 1, 2  # component indices: perturbation, x-momentum, y-momentum
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Physical constants: mean geopotential, rotation, drag, forcing.
-
-    ``forcing``, if given, is a callable ``(x, y, t) -> (Fx, Fy)`` adding a
-    prescribed momentum source; it never touches the continuity equation.
-    """
+    """Physical constants: mean geopotential, rotation, drag."""
 
     phi_bar: float
     f0: float = 0.0
     beta: float = 0.0
     drag: float = 0.0
-    forcing: Optional[Callable] = None
 
     def __post_init__(self):
         if not self.phi_bar > 0.0:
@@ -100,11 +93,13 @@ def flux_nonlinear(q, params):
     return flux
 
 
-def source(q, x, y, t, params):
-    """Coriolis, linear bottom drag, and prescribed momentum forcing.
+def source(q, y, params):
+    """Coriolis and linear bottom drag.
 
     The Coriolis parameter is f = f0 + beta*y; its contribution rotates
     momentum without injecting energy.  Continuity source is zero.
+    Prescribed forcing enters through the explicit operator's
+    ``extra_source`` instead.
     """
     q = np.asarray(q, dtype=float)
     f = params.f0 + params.beta * np.asarray(y)
@@ -112,8 +107,4 @@ def source(q, x, y, t, params):
     src = np.zeros_like(q)
     src[..., MX] = f * v_mom - params.drag * u_mom
     src[..., MY] = -f * u_mom - params.drag * v_mom
-    if params.forcing is not None:
-        fx, fy = params.forcing(x, y, t)
-        src[..., MX] += fx
-        src[..., MY] += fy
     return src

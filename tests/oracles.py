@@ -337,7 +337,7 @@ def face_path_tendency(mesh, basis, data, t, params, extra_source=None, full=Fal
 
     out = (resid / ops.mass_diag[:, None]).reshape(data.shape)
     xy = gll_node_coords(mesh, basis)
-    out += source(data, xy[..., 0], xy[..., 1], t, params)
+    out += source(data, xy[..., 1], params)
     if extra_source is not None:
         out += extra_source(xy[..., 0], xy[..., 1], t)
     return out
@@ -353,7 +353,7 @@ def fd_pde_residual(exact, params, x, y, t, eps=1e-6, linear=False, mms_source=N
     dfy = (flux(exact(x, y + eps, t), params)[..., 1, :] - flux(exact(x, y - eps, t), params)[..., 1, :]) / (2.0 * eps)
     res = dqdt + dfx + dfy
     if not linear:
-        res -= source(exact(x, y, t), x, y, t, params)
+        res -= source(exact(x, y, t), y, params)
     if mms_source is not None:
         res -= mms_source(x, y, t)
     return res

@@ -93,7 +93,6 @@ def test_element_operators_p1_mass():
     # [0,1]^2 mapped from the reference square: jacobian 1/4, unit GLL weights.
     ops = element_operators(nodal_basis(1), 1.0, 1.0)
     assert np.allclose(ops.mass_diag, 0.25 * np.ones(4), atol=1e-15)
-    assert ops.jacobian == 0.25
 
 
 def test_element_operators_rejects_degenerate():

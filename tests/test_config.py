@@ -105,3 +105,10 @@ def test_cross_field_validation():
         parse_text(MINIMAL + "mesh.xmin = 1.0\nmesh.xmax = 0.0\n")
     with pytest.raises(InvalidValueError):
         parse_text(MINIMAL + "physics.phi_bar = -1\n")
+
+
+@pytest.mark.parametrize("key", ["nx", "ny"])
+def test_nonpositive_element_count_names_its_key(key):
+    with pytest.raises(InvalidValueError) as err:
+        parse_text(MINIMAL + f"mesh.{key} = 0\n")
+    assert err.value.key == f"mesh.{key}"

@@ -202,3 +202,13 @@ def test_convergence_needs_exact_solution(tmp_path):
     )
     res = convergence(cfg2, [2, 4], "spatial")  # works: exact exists
     assert res.rates.shape == (1, 3)
+
+
+def test_convergence_spacing_is_the_element_width():
+    # a 2 x 2 domain: nx = 2 and 4 give elements 1.0 and 0.5 wide
+    cfg = _cfg(
+        "case.name = standing_wave\ncase.linear_mode = true\ntime.dt = 0.01\ntime.t_final = 0.02\n"
+        "mesh.xmax = 2.0\nmesh.ymax = 2.0\n"
+    )
+    res = convergence(cfg, [2, 4], "spatial")
+    assert np.array_equal(res.spacings, [1.0, 0.5])

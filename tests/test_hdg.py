@@ -5,7 +5,7 @@ import oracles
 from swemix.basis import nodal_basis
 from swemix.dg import ExplicitOperator, StateField, nodal_field
 from swemix.driver import SplitOperator
-from swemix.errors import AssemblyError, SolverFailureError
+from swemix.errors import AssemblyError, InvalidArgumentError, SolverFailureError
 from swemix.hdg import (
     ImplicitSolverBank,
     assemble_local,
@@ -102,9 +102,17 @@ def test_direct_backend_factors_symmetrically(alpha):
     basis = nodal_basis(3)
     blocks = assemble_local(mesh, basis, P2, alpha, P2.wave_speed)
     system = condense_and_factor(blocks, mesh, basis)
-    lu = system._direct
+    lu = system.solve.__self__
     assert np.array_equal(lu.perm_r, lu.perm_c)
     assert lu.nnz <= 5 * system.H.nnz
+
+
+def test_unknown_backend_rejected():
+    mesh = build_structured(1, 1, BOUNDS, WALL, WALL)
+    basis = nodal_basis(1)
+    blocks = assemble_local(mesh, basis, P2, 0.05, 1.0)
+    with pytest.raises(InvalidArgumentError, match="'lu'"):
+        condense_and_factor(blocks, mesh, basis, backend="lu")
 
 
 def test_trace_system_sparsity_is_symmetric():
@@ -148,12 +156,13 @@ def test_solve_satisfies_local_and_transmission_equations():
     r = _rand_field(mesh, basis, seed=3)
     q, lam = implicit_solve(system, r)
     nv = mass3.size
-    q_flat = np.moveaxis(q.data, 3, 1).reshape(mesh.num_elements, nv)
-    r_flat = np.moveaxis(r.data, 3, 1).reshape(mesh.num_elements, nv)
+    # local_matrices orders the element unknowns as the state stores them
+    q_flat = q.data.reshape(mesh.num_elements, nv)
+    r_flat = r.data.reshape(mesh.num_elements, nv)
     lam_loc = lam.data.reshape(-1)[system.elem_trace_ids]
     local = q_flat @ A.T + lam_loc @ B.T - r_flat * mass3
     assert np.max(np.abs(local)) < 1e-10 * max(1.0, np.max(np.abs(r_flat)))
-    trans = np.zeros(system.num_trace_dofs)
+    trans = np.zeros(system.H.shape[0])
     np.add.at(trans, system.elem_trace_ids, q_flat @ C.T + lam_loc @ D.T)
     assert np.max(np.abs(trans)) < 1e-10
 

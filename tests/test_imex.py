@@ -90,6 +90,33 @@ def test_stiff_accuracy_flags():
     assert not tableau("ars233").stiffly_accurate
 
 
+def test_custom_tableau_derives_abscissae_and_stiff_accuracy():
+    from swemix.imex import ImexTableau
+
+    # explicit trapezoid with Crank-Nicolson: the abscissae are the row
+    # sums, and only the implicit table has b as its last row
+    trap = ImexTableau(
+        name="trapezoid",
+        A_ex=np.array([[0.0, 0.0], [1.0, 0.0]]),
+        b_ex=np.array([0.5, 0.5]),
+        A_im=np.array([[0.0, 0.0], [0.5, 0.5]]),
+        b_im=np.array([0.5, 0.5]),
+        order=2,
+    ).validate()
+    assert trap.stiffly_accurate is False
+    assert np.array_equal(trap.c_ex, [0.0, 1.0]) and np.array_equal(trap.c_im, [0.0, 1.0])
+    # nor does the explicit table alone make the scheme stiffly accurate
+    half = ImexTableau(
+        name="half",
+        A_ex=np.array([[0.0, 0.0], [1.0, 0.0]]),
+        b_ex=np.array([1.0, 0.0]),
+        A_im=np.array([[0.0, 0.0], [0.5, 0.5]]),
+        b_im=np.array([0.0, 1.0]),
+        order=1,
+    ).validate()
+    assert half.stiffly_accurate is False
+
+
 def test_ars222_coefficients():
     tab = tableau("ars222")
     g = tab.A_im[1, 1]
@@ -228,12 +255,9 @@ def test_missing_apply_implicit_is_reported():
         name="needs_apply",
         A_ex=np.array([[0.0, 0.0], [1.0, 0.0]]),
         b_ex=np.array([1.0, 0.0]),
-        c_ex=np.array([0.0, 1.0]),
         A_im=np.array([[0.0, 0.0], [0.5, 0.5]]),
         b_im=np.array([0.5, 0.5]),
-        c_im=np.array([0.0, 1.0]),
         order=1,
-        stiffly_accurate=True,
     )
     with pytest.raises(InvalidArgumentError):
         step(NoApply(), 1.0, 0.0, 0.1, tab)

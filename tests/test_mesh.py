@@ -124,7 +124,7 @@ def test_mesh_invariants(nx, ny, bcx, bcy):
     if bcx == PERIODIC and bcy == PERIODIC:
         assert mesh.num_boundary_faces == 0
     # area
-    assert abs(mesh.num_elements * mesh.element_area - 4.0) < 1e-12 * 4.0
+    assert abs(mesh.num_elements * mesh.hx * mesh.hy - 4.0) < 1e-12 * 4.0
     # every interior face joins two distinct (element, side) slots
     for f in range(mesh.num_faces):
         le, ls = mesh.face_left[f]
@@ -152,7 +152,7 @@ def test_orientation_right_element_normal_is_negation():
 def test_deterministic_rebuilds_are_byte_identical():
     a = build_structured(5, 4, (0.0, 3.0, 0.0, 2.0), PERIODIC, WALL)
     b = build_structured(5, 4, (0.0, 3.0, 0.0, 2.0), PERIODIC, WALL)
-    for name in ("elem_faces", "face_left", "face_right", "face_normal", "face_length"):
+    for name in ("elem_faces", "face_left", "face_right", "face_normal"):
         assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
 
 

@@ -82,26 +82,20 @@ def test_flux_nonlinear_continuity_rows_zero():
 
 
 def test_source_examples():
-    assert np.array_equal(source(np.array([0.1, 2.0, 3.0]), 0.0, 0.0, 0.0, P1), np.zeros(3))
+    assert np.array_equal(source(np.array([0.1, 2.0, 3.0]), 0.0, P1), np.zeros(3))
     coriolis = ModelParams(phi_bar=1.0, f0=1.0)
-    s = source(np.array([0.0, 2.0, 3.0]), 0.0, 0.0, 0.0, coriolis)
+    s = source(np.array([0.0, 2.0, 3.0]), 0.0, coriolis)
     assert np.allclose(s, [0.0, 3.0, -2.0], atol=0)
     dragged = ModelParams(phi_bar=1.0, drag=0.5)
-    s = source(np.array([0.0, 2.0, 0.0]), 0.0, 0.0, 0.0, dragged)
+    s = source(np.array([0.0, 2.0, 0.0]), 0.0, dragged)
     assert np.allclose(s, [0.0, -1.0, 0.0], atol=0)
-
-
-def test_source_forcing_is_momentum_only():
-    forced = ModelParams(phi_bar=1.0, forcing=lambda x, y, t: (np.full_like(x, 2.0), np.full_like(x, -1.0)))
-    s = source(np.zeros((4, 3)), np.zeros(4), np.zeros(4), 0.0, forced)
-    assert np.allclose(s, np.tile([0.0, 2.0, -1.0], (4, 1)), atol=0)
 
 
 @given(state, st.floats(-2, 2), st.floats(-1, 1), st.floats(-1, 1))
 def test_coriolis_energy_neutrality(s, f0, beta, y):
     # exact cancellation up to the rounding of the two triple products
     params = ModelParams(phi_bar=1.0, f0=f0, beta=beta)
-    src = source(s, 0.3, y, 0.0, params)
+    src = source(s, y, params)
     work = s[1] * src[1] + s[2] * src[2]
     scale = max(abs(s[1] * src[1]), abs(s[2] * src[2]), 1e-300)
     assert abs(work) <= 8 * np.finfo(float).eps * scale
