@@ -25,12 +25,16 @@ then one batched product for the forward pass, a scatter onto the trace,
 the trace solve, and one batched product for the back-substitution.
 
 H is symmetric and -H is positive definite for every alpha_dt > 0 and
-tau > 0, so the direct backend factors it with a symmetric fill-reducing
-ordering and diagonal pivots: no pivot of a definite matrix can vanish.
+tau > 0.  The direct backend solves it exactly.  On a doubly periodic mesh
+H is block-circulant over cells, so the 2-D DFT block-diagonalizes it and
+a solve is an FFT, one small Hermitian negative definite block per
+wavenumber, and an inverse FFT; H itself is never assembled.  On other
+meshes H is factored with a symmetric fill-reducing ordering and diagonal
+pivots: no pivot of a definite matrix can vanish.
 """
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 import scipy.linalg
@@ -40,7 +44,7 @@ import scipy.sparse.linalg
 from .basis import element_operators
 from .dg import StateField
 from .errors import AssemblyError, InvalidArgumentError, SolverFailureError
-from .mesh import SIDE_NORMALS
+from .mesh import PERIODIC, SIDE_NORMALS
 
 
 @dataclass
@@ -137,12 +141,13 @@ def _trace_ids(mesh, n1):
 
 @dataclass
 class CondensedSystem:
-    """The trace matrix H, the element operators of the forward pass and
-    the back-substitution, and ``solve``, the one function that applies
-    H^-1 for the backend chosen at factorization."""
+    """The element operators of the forward pass and the back-substitution,
+    and ``solve``, the one function that applies H^-1 for the backend chosen
+    at factorization.  ``H`` is the assembled trace matrix, or None on the
+    FFT path, which never assembles it."""
 
     blocks: LocalBlocks
-    H: scipy.sparse.csc_matrix
+    H: Optional[scipy.sparse.csc_matrix]
     elem_trace_ids: np.ndarray
     solve: Callable
 
@@ -150,28 +155,81 @@ class CondensedSystem:
         return self.solve(g)
 
 
-def condense_and_factor(blocks, mesh, basis, backend="direct", rel_tol=1e-10, max_iter=500):
-    """Scatter the element Schur complements into the global trace matrix and
-    prepare the chosen solver backend.
-
-    The direct backend orders H by minimum degree on its (symmetric)
-    pattern and pivots on the diagonal only, which is valid because -H is
-    symmetric positive definite; it stores about a quarter of the factor
-    entries of a column ordering with partial pivoting.  The gmres backend
-    runs restarted GMRES to ``rel_tol`` with a per-face block-Jacobi
-    preconditioner; ``max_iter`` counts restart cycles.
-    """
+def trace_matrix(blocks, mesh, basis):
+    """Scatter the element Schur complements into the sparse trace matrix H."""
     n1 = basis.n
     ndof = mesh.num_faces * n1
-    ids = _trace_ids(mesh, n1)
     # int32 triplets, the index type H ends up with, halve their memory.
-    ids32 = ids.astype(np.int32)
+    ids32 = _trace_ids(mesh, n1).astype(np.int32)
     rows = np.repeat(ids32, 4 * n1, axis=1).ravel()
     cols = np.tile(ids32, (1, 4 * n1)).ravel()
     data = np.tile(blocks.schur.ravel(), mesh.num_elements)
-    H = scipy.sparse.coo_matrix((data, (rows, cols)), shape=(ndof, ndof)).tocsc()
-    del rows, cols, data  # free the triplets before the factorization
+    return scipy.sparse.coo_matrix((data, (rows, cols)), shape=(ndof, ndof)).tocsc()
 
+
+def trace_symbol(blocks, mesh, basis):
+    """Blocks of H on a doubly periodic mesh, one per ``rfft2`` wavenumber.
+
+    Cell (jy, ix) owns its west face (vertical face jy nx + ix) and its
+    south face (horizontal face nx ny + jy nx + ix), so the trace vector is
+    a (2, ny, nx, p+1) array over cells.  The element sides read south and
+    west of their own cell, west of the east neighbour and south of the
+    north neighbour; with P(k) the (4 (p+1), 2 (p+1)) matrix of those
+    phases, the symbol is P(k)^H S P(k).  Returns (ny, nx//2 + 1, 2 (p+1),
+    2 (p+1)), columns ordered (west, south).
+    """
+    n1 = basis.n
+    east = np.exp(2j * np.pi * np.arange(mesh.nx // 2 + 1) / mesh.nx)[None, :, None, None]
+    north = np.exp(2j * np.pi * np.arange(mesh.ny) / mesh.ny)[:, None, None, None]
+    eye = np.eye(n1)
+    P = np.zeros((mesh.ny, mesh.nx // 2 + 1, 4 * n1, 2 * n1), dtype=complex)
+    P[:, :, :n1, n1:] = eye  # south
+    P[:, :, n1 : 2 * n1, :n1] = east * eye  # east
+    P[:, :, 2 * n1 : 3 * n1, n1:] = north * eye  # north
+    P[:, :, 3 * n1 :, :n1] = eye  # west
+    return P.conj().swapaxes(-1, -2) @ blocks.schur @ P
+
+
+def _fft_solve(blocks, mesh, basis):
+    """H^-1 on a doubly periodic mesh: ``rfft2`` over the cells, one block
+    product per wavenumber, ``irfft2``."""
+    try:
+        inv = np.linalg.inv(trace_symbol(blocks, mesh, basis))
+    except np.linalg.LinAlgError as exc:
+        raise AssemblyError(f"condensed trace system is singular: {exc}") from exc
+    n1, ny, nx = basis.n, mesh.ny, mesh.nx
+    cells = (2, ny, nx, n1)
+    modes = (ny, nx // 2 + 1, 2 * n1, 1)
+
+    def solve(g):
+        g_hat = np.fft.rfft2(g.reshape(cells), axes=(1, 2))
+        lam_hat = inv @ np.moveaxis(g_hat, 0, 2).reshape(modes)
+        lam_hat = np.moveaxis(lam_hat.reshape(ny, -1, 2, n1), 2, 0)
+        return np.fft.irfft2(lam_hat, s=(ny, nx), axes=(1, 2)).reshape(-1)
+
+    return solve
+
+
+def condense_and_factor(blocks, mesh, basis, backend="direct", rel_tol=1e-10, max_iter=500):
+    """Prepare the trace solve of the chosen backend.
+
+    The direct backend is exact.  On a doubly periodic mesh it solves by
+    FFT on the blocks of :func:`trace_symbol`, without assembling H.
+    Otherwise it orders H by minimum degree on its (symmetric) pattern and
+    pivots on the diagonal only, which is valid because -H is symmetric
+    positive definite; it stores about a quarter of the factor entries of a
+    column ordering with partial pivoting.  The gmres backend runs
+    restarted GMRES to ``rel_tol`` with a per-face block-Jacobi
+    preconditioner; ``max_iter`` counts restart cycles.
+    """
+    if backend not in ("direct", "gmres"):
+        raise InvalidArgumentError(f"unknown solver backend {backend!r}")
+    ids = _trace_ids(mesh, basis.n)
+    if backend == "direct" and mesh.bc_x == PERIODIC and mesh.bc_y == PERIODIC:
+        solve = _fft_solve(blocks, mesh, basis)
+        return CondensedSystem(blocks=blocks, H=None, elem_trace_ids=ids, solve=solve)
+
+    H = trace_matrix(blocks, mesh, basis)
     if backend == "direct":
         try:
             solve = scipy.sparse.linalg.splu(
@@ -182,8 +240,8 @@ def condense_and_factor(blocks, mesh, basis, backend="direct", rel_tol=1e-10, ma
             ).solve
         except RuntimeError as exc:
             raise AssemblyError(f"condensed trace system is singular: {exc}") from exc
-    elif backend == "gmres":
-        precond = _block_jacobi(H, mesh.num_faces, n1)
+    else:
+        precond = _block_jacobi(H, mesh.num_faces, basis.n)
 
         def solve(g):
             lam, info = scipy.sparse.linalg.gmres(
@@ -198,8 +256,6 @@ def condense_and_factor(blocks, mesh, basis, backend="direct", rel_tol=1e-10, ma
                 )
             return lam
 
-    else:
-        raise InvalidArgumentError(f"unknown solver backend {backend!r}")
     return CondensedSystem(blocks=blocks, H=H, elem_trace_ids=ids, solve=solve)
 
 
@@ -229,20 +285,21 @@ def implicit_solve(system, rhs_field):
     system is solved, and one more batched product subtracts A^-1 B lambda.
     """
     blocks = system.blocks
-    data = rhs_field.data
+    data, mesh, basis = rhs_field.data, rhs_field.mesh, rhs_field.basis
     if not np.all(np.isfinite(data)):
         raise SolverFailureError("implicit solve right-hand side contains non-finite values")
     nelem, n_vol = data.shape[0], blocks.A_inv_B.shape[0]
     y = data.reshape(nelem, n_vol) @ blocks.forward.T
 
     ids = system.elem_trace_ids
-    g = np.bincount(ids.ravel(), weights=y[:, n_vol:].ravel(), minlength=system.H.shape[0])
+    ndof = mesh.num_faces * basis.n
+    g = np.bincount(ids.ravel(), weights=y[:, n_vol:].ravel(), minlength=ndof)
     lam = system.solve_trace(g)
 
     q = y[:, :n_vol] - lam[ids] @ blocks.A_inv_B.T
     return (
-        StateField(q.reshape(data.shape), rhs_field.mesh, rhs_field.basis),
-        TraceField(lam.reshape(-1, rhs_field.basis.n)),
+        StateField(q.reshape(data.shape), mesh, basis),
+        TraceField(lam.reshape(-1, basis.n)),
     )
 
 

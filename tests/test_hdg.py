@@ -1,17 +1,23 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from swemix.basis import nodal_basis
 from swemix.dg import ExplicitOperator, StateField, nodal_field
-from swemix.driver import SplitOperator
+from swemix.driver import SplitOperator, energy_proxy
 from swemix.errors import AssemblyError, InvalidArgumentError, SolverFailureError
 from swemix.hdg import (
     ImplicitSolverBank,
+    LocalBlocks,
     assemble_local,
     condense_and_factor,
     implicit_solve,
     local_matrices,
+    trace_matrix,
+    trace_symbol,
 )
 from swemix.imex import step, tableau
 from swemix.mesh import PERIODIC, WALL, build_structured
@@ -88,7 +94,7 @@ def test_trace_system_is_symmetric_negative_definite(p, bc):
         mesh = build_structured(n, n, BOUNDS, bc, bc)
         for alpha in (1e-4, 1e-2, 1.0):
             blocks = assemble_local(mesh, basis, P2, alpha, P2.wave_speed)
-            H = condense_and_factor(blocks, mesh, basis).H.toarray()
+            H = trace_matrix(blocks, mesh, basis).toarray()
             assert np.linalg.norm(H - H.T) <= 1e-13 * np.linalg.norm(H)
             assert np.min(np.linalg.eigvalsh(-0.5 * (H + H.T))) > 0.0
 
@@ -98,13 +104,75 @@ def test_direct_backend_factors_symmetrically(alpha):
     # -H is SPD, so the direct backend orders H symmetrically and pivots on
     # the diagonal only: equal row and column permutations, and a fill far
     # below the 11.4 x nnz(H) of a column ordering with partial pivoting
-    mesh = build_structured(16, 16, BOUNDS, PERIODIC, PERIODIC)
+    mesh = build_structured(16, 16, BOUNDS, WALL, WALL)
     basis = nodal_basis(3)
     blocks = assemble_local(mesh, basis, P2, alpha, P2.wave_speed)
     system = condense_and_factor(blocks, mesh, basis)
     lu = system.solve.__self__
     assert np.array_equal(lu.perm_r, lu.perm_c)
     assert lu.nnz <= 5 * system.H.nnz
+
+
+PERIODIC_SHAPES = [(1, 1), (1, 4), (2, 3), (5, 4), (8, 8)]
+
+
+def _rel(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("shape", PERIODIC_SHAPES)
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_fft_solve_matches_splu(shape, p):
+    # on a doubly periodic mesh the direct backend solves by FFT; it must
+    # agree with a sparse LU of the assembled H
+    mesh = build_structured(*shape, BOUNDS, PERIODIC, PERIODIC)
+    basis = nodal_basis(p)
+    rng = np.random.default_rng(p)
+    for alpha in (1e-4, 1e-2, 1.0):
+        blocks = assemble_local(mesh, basis, P2, alpha, P2.wave_speed)
+        system = condense_and_factor(blocks, mesh, basis)
+        assert system.H is None
+        lu = scipy.sparse.linalg.splu(trace_matrix(blocks, mesh, basis))
+        g = rng.standard_normal(mesh.num_faces * basis.n)
+        assert _rel(system.solve_trace(g), lu.solve(g)) <= 1e-12, alpha
+
+
+@pytest.mark.parametrize("shape", PERIODIC_SHAPES)
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_trace_symbol_blocks_are_hermitian_negative_definite(shape, p):
+    mesh = build_structured(*shape, BOUNDS, PERIODIC, PERIODIC)
+    basis = nodal_basis(p)
+    for alpha in (1e-4, 1e-2, 1.0):
+        blocks = assemble_local(mesh, basis, P2, alpha, P2.wave_speed)
+        symbol = trace_symbol(blocks, mesh, basis)
+        assert symbol.shape == (shape[1], shape[0] // 2 + 1, 2 * basis.n, 2 * basis.n)
+        for h in symbol.reshape(-1, 2 * basis.n, 2 * basis.n):
+            assert np.linalg.norm(h - h.conj().T) <= 1e-13 * np.linalg.norm(h)
+            assert np.max(np.linalg.eigvalsh(h)) < 0.0
+
+
+def test_trace_path_follows_boundary_kinds():
+    # only a doubly periodic mesh with the direct backend skips assembling H
+    basis = nodal_basis(1)
+    for bcs, backend, assembled in (
+        ((PERIODIC, PERIODIC), "direct", False),
+        ((PERIODIC, WALL), "direct", True),
+        ((WALL, PERIODIC), "direct", True),
+        ((PERIODIC, PERIODIC), "gmres", True),
+    ):
+        mesh = build_structured(3, 2, BOUNDS, *bcs)
+        blocks = assemble_local(mesh, basis, P2, 0.05, 1.0)
+        system = condense_and_factor(blocks, mesh, basis, backend=backend)
+        assert (system.H is not None) == assembled, (bcs, backend)
+
+
+def test_singular_symbol_raises_assembly_error():
+    mesh = build_structured(2, 2, BOUNDS, PERIODIC, PERIODIC)
+    basis = nodal_basis(1)
+    blocks = assemble_local(mesh, basis, P2, 0.05, 1.0)
+    singular = LocalBlocks(blocks.forward, blocks.A_inv_B, np.zeros_like(blocks.schur))
+    with pytest.raises(AssemblyError, match="singular"):
+        condense_and_factor(singular, mesh, basis)
 
 
 def test_unknown_backend_rejected():
@@ -260,6 +328,31 @@ def test_direct_gmres_and_monolithic_agree_at_random_shifts(bcs):
             q, lam = bank.solve(alpha, r)
             assert rel(q.data, q_o) <= 1e-9, (bank.backend, alpha)
             assert rel(lam.data.reshape(-1), lam_o) <= 1e-9, (bank.backend, alpha)
+
+
+@pytest.mark.parametrize("bc", [PERIODIC, WALL])
+@settings(max_examples=20)
+@given(
+    p=st.integers(1, 2),
+    phi_bar=st.floats(0.25, 4.0),
+    dt=st.floats(1e-4, 0.5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_linear_backward_euler_never_gains_energy(bc, p, phi_bar, dt, seed):
+    # the implicit HDG operator dissipates the energy proxy: a linear-mode
+    # ars111 step is one implicit solve and may not raise it beyond roundoff
+    params = ModelParams(phi_bar=phi_bar)
+    mesh = build_structured(3, 2, BOUNDS, bc, bc)
+    basis = nodal_basis(p)
+    pair = SplitOperator(ExplicitOperator(mesh, basis), ImplicitSolverBank(mesh, basis, params),
+                         params, linear_mode=True)
+    q = _rand_field(mesh, basis, seed=seed)
+    energy = energy_proxy(q, params)
+    for k in range(4):
+        q = step(pair, q, k * dt, dt, tableau("ars111"))
+        new = energy_proxy(q, params)
+        assert new - energy <= 1e-13 * energy, (k, new, energy)
+        energy = new
 
 
 def test_gmres_nonconvergence_reports_residual():
