@@ -138,16 +138,27 @@ def mms_nonlinear(params=None, amplitude=None):
         S_V   = V_t + (UV/phi)_x + (V^2/phi + P)_y + f U + drag V
 
     expanded by the quotient rule using the closed-form partial derivatives
-    of the fields (P_x = phi phi'_x, etc.); since V_y = U_x and V_x = U_y,
-    four products of sines and cosines carry every spatial factor.  The
-    derivation is validated in the test suite by a central-finite-difference
-    residual oracle.
+    of the fields (P_x = phi phi'_x, etc.).  With a = A sin(t),
+    b = A cos(t), ss = sin(kx) sin(ky), cs = cos(kx) sin(ky),
+    sc = sin(kx) cos(ky) and cc = cos(kx) cos(ky), every term separates
+    into a factor of t times a spatial product, apart from powers of 1/phi:
 
-    ``exact`` and the source share a one-entry cache of those four
-    products, keyed by the values of x and y: a run samples the same nodes
-    at every stage and step, so only the time factors are recomputed.  A
-    different node set replaces the entry; any x, y and t that broadcast
-    together, per-point t arrays included, are accepted.
+        S_phi = -(2k + 1) a ss
+        S_U   = B cs - f a sc + k a^2 (sc cc - 3 cs ss) / phi
+        S_V   = B sc + f a cs + k a^2 (cs cc - 3 sc ss) / phi
+        B     = b + drag a + k b (phi - a^2 (cs^2 + sc^2) / phi^2)
+
+    The derivation is validated in the test suite by a
+    central-finite-difference residual oracle, and this form against the
+    term-by-term expansion.
+
+    ``exact`` and the source share a one-entry cache of the six spatial
+    products ss, cs, sc, cs^2 + sc^2, sc cc - 3 cs ss and cs cc - 3 sc ss,
+    keyed by the values of x and y: six node-sized arrays (3 MB on a 64^2
+    p = 3 mesh) besides the stored x and y.  A run samples the same nodes
+    at every stage and step, so only the time factors and 1/phi are
+    recomputed.  A different node set replaces the entry; any x, y and t
+    that broadcast together, per-point t arrays included, are accepted.
     """
     params = params or ModelParams(phi_bar=1.0, f0=1.0)
     phi_bar = params.phi_bar
@@ -163,12 +174,13 @@ def mms_nonlinear(params=None, amplitude=None):
     def products(x, y):
         sx, cx = np.sin(k * x), np.cos(k * x)
         sy, cy = np.sin(k * y), np.cos(k * y)
-        return sx * sy, cx * sy, sx * cy, cx * cy
+        ss, cs, sc, cc = sx * sy, cx * sy, sx * cy, cx * cy
+        return ss, cs, sc, cs * cs + sc * sc, sc * cc - 3.0 * cs * ss, cs * cc - 3.0 * sc * ss
 
     trig = _SpatialTrig(products)
 
     def exact(x, y, t):
-        ss, cs, sc, _ = trig(x, y)
+        ss, cs, sc = trig(x, y)[:3]
         a, b = A * np.sin(t), A * np.cos(t)
         out = np.empty(np.broadcast_shapes(np.shape(ss), np.shape(t)) + (3,))
         out[..., 0] = b * ss
@@ -177,20 +189,33 @@ def mms_nonlinear(params=None, amplitude=None):
         return out
 
     def source(x, y, t):
-        ss, cs, sc, cc = trig(x, y)
+        ss, cs, sc, sq, g_u, g_v = trig(x, y)
         a, b = A * np.sin(t), A * np.cos(t)
-        u, v = a * cs, a * sc
-        px, py = (k * b) * cs, (k * b) * sc
-        ux, uy = (-k * a) * ss, (k * a) * cc  # = V_y, V_x
-        phi = phi_bar + b * ss
-        # (U P_x + V P_y) / phi^2 is shared by both momentum rows.
-        upv = (u * px + v * py) / phi**2
-        f = params.f0 + params.beta * np.asarray(y)
+        phi = b * ss
+        phi += phi_bar
+        inv_phi = 1.0 / phi
+        # B of the docstring, then k a^2 / phi in place of 1 / phi
+        bracket = inv_phi * inv_phi
+        bracket *= sq
+        bracket *= -a * a
+        bracket += phi
+        bracket *= k * b
+        bracket += b + params.drag * a
+        inv_phi *= k * a * a
+        fa = a * (params.f0 + params.beta * np.asarray(y)) if params.beta != 0.0 else params.f0 * a
 
-        out = np.empty(np.broadcast_shapes(np.shape(ss), np.shape(t), np.shape(f)) + (3,))
-        out[..., 0] = 2.0 * ux - a * ss
-        out[..., 1] = b * cs + (3.0 * u * ux + v * uy) / phi - u * upv + phi * px - f * v + params.drag * u
-        out[..., 2] = b * sc + (3.0 * v * ux + u * uy) / phi - v * upv + phi * py + f * u + params.drag * v
+        out = np.empty(np.broadcast_shapes(np.shape(ss), np.shape(t)) + (3,))
+        np.multiply(ss, -(2.0 * k + 1.0) * a, out=out[..., 0])
+        # The momentum rows are summed in contiguous arrays and written to
+        # the interleaved output once each: strided updates cost twice as much.
+        s_u = cs * bracket
+        s_u -= fa * sc
+        s_u += g_u * inv_phi
+        out[..., 1] = s_u
+        s_v = sc * bracket
+        s_v += fa * cs
+        s_v += g_v * inv_phi
+        out[..., 2] = s_v
         return out
 
     return TestCase(
@@ -229,12 +254,17 @@ def make_case(name, params=None, amplitude=None):
     return builder(params, amplitude)
 
 
-def l2_error(field, exact_fn, t):
-    """GLL-quadrature L2 norm of (field - exact) per component, shape (3,)."""
+def l2_error(field, exact_fn, t, xy=None):
+    """GLL-quadrature L2 norm of (field - exact) per component, shape (3,).
+
+    ``xy`` are the field's node coordinates, such as
+    ``ExplicitOperator.node_xy``; they are built from the mesh when not given.
+    """
     if exact_fn is None:
         raise InvalidArgumentError("case has no exact solution to compare against")
     mesh, basis = field.mesh, field.basis
-    xy = gll_node_coords(mesh, basis)
+    if xy is None:
+        xy = gll_node_coords(mesh, basis)
     diff = field.data - exact_fn(xy[..., 0], xy[..., 1], t)
     mass2d = mass_weights(basis, mesh.hx, mesh.hy)
     return np.sqrt(np.einsum("jk,ejkc->c", mass2d, diff**2))

@@ -6,12 +6,15 @@ The semi-discrete tendency of one element is the matrix form of nodal DG
 
 with the weak-derivative, face-lift and diagonal mass matrices of
 :func:`swemix.basis.element_operators`, which the implicit HDG solve also
-uses, and Rusanov interface fluxes fhat.  By default the flux is the
-nonlinear remainder and the Rusanov speed is purely advective: the
-gravity-wave speed is excluded because the fast wave is handled by the
-implicit operator.  The ``full`` flux is the complete one with the
-standard speed |u.n| + sqrt(phi); it exists for explicit control runs
-that demonstrate the time-step restriction the splitting removes.
+uses, and Rusanov interface fluxes fhat.  M is diagonal, so M^-1 is
+folded into the rows of the volume and lift operators once, at
+construction, and the source S (Coriolis and drag) is added into the
+tendency in place.  By default the flux is the nonlinear remainder and
+the Rusanov speed is purely advective: the gravity-wave speed is
+excluded because the fast wave is handled by the implicit operator.
+The ``full`` flux is the complete one with the standard speed
+|u.n| + sqrt(phi); it exists for explicit control runs that demonstrate
+the time-step restriction the splitting removes.
 
 The flux is evaluated once per stage, at the element nodes.  The volume
 term uses it whole, and the Rusanov flux reads both sides' normal fluxes
@@ -137,9 +140,12 @@ class ExplicitOperator:
         self.ops = element_operators(basis, mesh.hx, mesh.hy)
         # The flux tensor read as (e, 2 * nodes, 3) interleaves x and y per
         # node; the volume matrix interleaves weak_dx and weak_dy to match.
+        # Both operators carry the inverse of the diagonal mass in their rows.
         nodes = basis.n * basis.n
-        self.weak = np.stack([self.ops.weak_dx, self.ops.weak_dy], axis=2).reshape(nodes, 2 * nodes)
-        self.lift = np.hstack(self.ops.face_lift)  # (nodes, side-major face nodes)
+        mass = self.ops.mass_diag[:, None]
+        weak = np.stack([self.ops.weak_dx, self.ops.weak_dy], axis=2).reshape(nodes, 2 * nodes)
+        self.weak = weak / mass
+        self.lift = np.hstack(self.ops.face_lift) / mass  # (nodes, side-major face nodes)
         self.node_xy = gll_node_coords(mesh, basis)
 
         # Every side is axis-aligned, so its outward normal flux is one
@@ -179,10 +185,9 @@ class ExplicitOperator:
         normal_flux *= self.side_sign
         resid -= self.lift @ self._side_fluxes(flat, normal_flux, params, flux_fn, full)
 
-        resid /= self.ops.mass_diag[:, None]
         out = resid.reshape(data.shape)
         x, y = self.node_xy[..., 0], self.node_xy[..., 1]
-        out += swe.source(data, y, params)
+        swe.source(data, y, params, out=out)
         if extra_source is not None:
             out += extra_source(x, y, t)
         return out

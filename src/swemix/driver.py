@@ -172,6 +172,7 @@ def run(cfg, quiet=False):
     pair = sim.operator()
     q = sim.initial_field()
     exact = sim.case.exact_solution
+    node_xy = sim.dg_op.node_xy
 
     out_dir = cfg.output.dir
     writer = None
@@ -186,7 +187,7 @@ def run(cfg, quiet=False):
 
     def record(step, t, field):
         if writer is not None:
-            errs = l2_error(field, exact, t) if exact is not None else None
+            errs = l2_error(field, exact, t, node_xy) if exact is not None else None
             writer.add(step, t, total_mass(field, sim.params), energy_proxy(field, sim.params), errs)
         if cfg.output.vtk_every_n_steps and step % cfg.output.vtk_every_n_steps == 0:
             snapshot(step, field)
@@ -201,7 +202,7 @@ def run(cfg, quiet=False):
 
     csv_path = writer.write() if writer is not None else None
     mass_drift = abs(total_mass(q, sim.params) - mass0) / abs(mass0)
-    errors = l2_error(q, exact, t) if exact is not None else None
+    errors = l2_error(q, exact, t, node_xy) if exact is not None else None
     if not quiet:
         print(f"case={sim.case.name} scheme={sim.tab.name} order={sim.basis.order} "
               f"mesh={sim.mesh.nx}x{sim.mesh.ny} steps={n_steps} t={t:.6g}")

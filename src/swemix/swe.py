@@ -93,18 +93,31 @@ def flux_nonlinear(q, params):
     return flux
 
 
-def source(q, y, params):
+def source(q, y, params, out=None):
     """Coriolis and linear bottom drag.
 
     The Coriolis parameter is f = f0 + beta*y; its contribution rotates
     momentum without injecting energy.  Continuity source is zero.
     Prescribed forcing enters through the explicit operator's
     ``extra_source`` instead.
+
+    With ``out`` the source is added into ``out``, which is returned;
+    the result equals ``out + source(q, y, params)``.  A term whose
+    coefficients are all zero is skipped.
     """
     q = np.asarray(q, dtype=float)
-    f = params.f0 + params.beta * np.asarray(y)
+    if out is None:
+        out = np.zeros_like(q)
     u_mom, v_mom = q[..., MX], q[..., MY]
-    src = np.zeros_like(q)
-    src[..., MX] = f * v_mom - params.drag * u_mom
-    src[..., MY] = -f * u_mom - params.drag * v_mom
-    return src
+    if params.f0 != 0.0 or params.beta != 0.0:
+        f = params.f0 + params.beta * np.asarray(y) if params.beta != 0.0 else params.f0
+        src_u, src_v = f * v_mom, f * u_mom  # the V row is negated when added
+        if params.drag != 0.0:
+            src_u -= params.drag * u_mom
+            src_v += params.drag * v_mom
+        out[..., MX] += src_u
+        out[..., MY] -= src_v
+    elif params.drag != 0.0:
+        out[..., MX] -= params.drag * u_mom
+        out[..., MY] -= params.drag * v_mom
+    return out

@@ -359,6 +359,31 @@ def fd_pde_residual(exact, params, x, y, t, eps=1e-6, linear=False, mms_source=N
     return res
 
 
+# --- Manufactured source expanded term by term --------------------------------
+
+def mms_source_expanded(x, y, t, params, amplitude):
+    """The ``mms_nonlinear`` source written term by term from the fields and
+    their partial derivatives, with no cache: the reference for the
+    separated form the case evaluates."""
+    k = 2.0 * np.pi
+    sx, cx, sy, cy = np.sin(k * x), np.cos(k * x), np.sin(k * y), np.cos(k * y)
+    ss, cs, sc, cc = sx * sy, cx * sy, sx * cy, cx * cy
+    a, b = amplitude * np.sin(t), amplitude * np.cos(t)
+    u, v = a * cs, a * sc
+    px, py = (k * b) * cs, (k * b) * sc
+    ux, uy = (-k * a) * ss, (k * a) * cc  # = V_y, V_x
+    phi = params.phi_bar + b * ss
+    # (U P_x + V P_y) / phi^2 is shared by both momentum rows.
+    upv = (u * px + v * py) / phi**2
+    f = params.f0 + params.beta * np.asarray(y)
+
+    out = np.empty(np.broadcast_shapes(np.shape(ss), np.shape(t), np.shape(f)) + (3,))
+    out[..., 0] = 2.0 * ux - a * ss
+    out[..., 1] = b * cs + (3.0 * u * ux + v * uy) / phi - u * upv + phi * px - f * v + params.drag * u
+    out[..., 2] = b * sc + (3.0 * v * ux + u * uy) / phi - v * upv + phi * py + f * u + params.drag * v
+    return out
+
+
 # --- Legacy VTK writer and reader ---------------------------------------------
 
 def write_vtk_loop(field, mesh, basis, path, phi_bar, title="swemix snapshot"):

@@ -6,7 +6,7 @@ from swemix.basis import nodal_basis
 from swemix.cases import l2_error, lake_at_rest, make_case, mms_nonlinear, standing_wave
 from swemix.dg import ExplicitOperator, nodal_field
 from swemix.errors import InvalidArgumentError
-from swemix.mesh import build_structured
+from swemix.mesh import build_structured, gll_node_coords
 from swemix.swe import ModelParams
 
 
@@ -78,6 +78,31 @@ def test_mms_source_against_fd_oracle():
     assert np.max(np.abs(res)) < 1e-7
 
 
+MMS_PARAMS = [
+    (ModelParams(phi_bar=1.0, f0=1.0, beta=0.4, drag=0.2), 0.05),
+    (ModelParams(phi_bar=2.5, f0=-0.7, beta=1.3, drag=0.9), 0.25),
+    (ModelParams(phi_bar=1.0, f0=1.0), 0.02),
+]
+
+
+@pytest.mark.parametrize("params, amplitude", MMS_PARAMS, ids=["rotating", "strong", "f-plane"])
+def test_mms_source_matches_expanded_form(params, amplitude):
+    # the separated source against the term-by-term expansion, at random
+    # points and per-point times and on the nodes of a 64^2 p = 3 mesh
+    case = mms_nonlinear(params, amplitude)
+    rng = np.random.default_rng(8)
+    x, y, t = (rng.uniform(-1.0, 2.0, 2000) for _ in range(3))
+    samples = [(x, y, t)]
+    mesh = build_structured(64, 64, case.bounds, case.bc_x, case.bc_y)
+    xy = gll_node_coords(mesh, nodal_basis(3))
+    samples += [(xy[..., 0], xy[..., 1], tk) for tk in (0.0, 0.37, 2.9)]
+    for x, y, t in samples:
+        got = case.mms_source(x, y, t)
+        want = oracles.mms_source_expanded(x, y, t, params, amplitude)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 def test_mms_amplitude_guard():
     with pytest.raises(InvalidArgumentError):
         mms_nonlinear(ModelParams(phi_bar=1.0), amplitude=0.5)
@@ -97,6 +122,20 @@ def test_l2_error_zero_for_exact_field():
     field = nodal_field(mesh, basis, case.initial_state)
     err = l2_error(field, case.exact_solution, 0.0)
     assert np.max(err) == 0.0
+
+
+def test_l2_error_reads_given_coordinates():
+    case = mms_nonlinear(ModelParams(phi_bar=1.0, f0=1.0))
+    mesh = build_structured(4, 3, case.bounds, case.bc_x, case.bc_y)
+    basis = nodal_basis(2)
+    field = nodal_field(mesh, basis, lambda x, y: case.exact_solution(x, y, 0.1))
+    xy = ExplicitOperator(mesh, basis).node_xy
+    err = l2_error(field, case.exact_solution, 0.3, xy)
+    assert err.tobytes() == l2_error(field, case.exact_solution, 0.3).tobytes()
+    assert np.all(err > 0.0)
+    # the coordinates given are the ones sampled
+    assert np.all(l2_error(field, case.exact_solution, 0.1, xy) == 0.0)
+    assert np.all(l2_error(field, case.exact_solution, 0.1, xy[::-1]) > 0.0)
 
 
 def test_l2_error_constant_offset():

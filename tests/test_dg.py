@@ -228,3 +228,28 @@ def test_flux_evaluated_once_per_stage(monkeypatch, bcs, full):
     if mesh.num_boundary_faces:
         expected.append((mesh.num_boundary_faces, basis.n, 3))
     assert shapes == expected
+
+
+@pytest.mark.parametrize("params", [P1, ROTATING], ids=["no-source", "rotating"])
+def test_source_called_once_per_tendency(monkeypatch, params):
+    # Through the module, so that a hook on swe.source sees every call,
+    # including those with nothing to add.
+    from swemix import swe
+
+    real = swe.source
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(swe, "source", counted)
+    mesh = build_structured(4, 3, (0.0, 1.0, 0.0, 1.0), PERIODIC, WALL)
+    basis = nodal_basis(2)
+    rng = np.random.default_rng(5)
+    data = rng.uniform(-0.3, 0.3, size=(mesh.num_elements, basis.n, basis.n, 3))
+    op = ExplicitOperator(mesh, basis)
+    op.tendency(data, 0.0, params, extra_source=_extra_source)
+    assert calls == [data.shape]
+    op.tendency(data, 0.1, params, full=True)
+    assert len(calls) == 2

@@ -5,6 +5,7 @@ import pytest
 
 from swemix import imex
 from swemix.basis import nodal_basis
+from swemix.cases import l2_error
 from swemix.config import CaseConfig, Config, parse_text
 from swemix.dg import ExplicitOperator, nodal_field
 from swemix.driver import (
@@ -91,6 +92,25 @@ output.dir = {out}
     a = run(cfg, quiet=True)
     b = run(_cfg(text.format(out=tmp_path / "b")), quiet=True)
     assert open(a.csv_path, "rb").read() == open(b.csv_path, "rb").read()
+
+
+def test_series_errors_are_the_final_field_errors(tmp_path):
+    # the per-step errors sample the exact solution at the field's own nodes
+    cfg = _cfg("""
+case.name = mms_nonlinear
+time.dt = 0.01
+time.t_final = 0.03
+mesh.nx = 4
+mesh.ny = 3
+disc.order = 2
+output.dir = {out}
+""".format(out=tmp_path))
+    result = run(cfg, quiet=True)
+    last = open(result.csv_path).read().splitlines()[-1].split(",")
+    sim = build_simulation(cfg)
+    want = l2_error(result.final_field, sim.case.exact_solution, result.t_final)
+    assert [float(v) for v in last[-3:]] == want.tolist()
+    assert want.tolist() == result.final_errors.tolist()
 
 
 def test_vtk_snapshots_written(tmp_path):

@@ -91,6 +91,27 @@ def test_source_examples():
     assert np.allclose(s, [0.0, -1.0, 0.0], atol=0)
 
 
+@pytest.mark.parametrize(
+    "f0, beta, drag",
+    [(0.0, 0.0, 0.0), (0.8, 0.0, 0.0), (0.0, -0.6, 0.0), (0.0, 0.0, 0.3), (0.8, 0.0, 0.3), (0.8, -0.6, 0.3)],
+)
+def test_source_adds_into_out(f0, beta, drag):
+    # bitwise the out-of-place source added to the buffer, for every
+    # combination of skipped terms
+    params = ModelParams(phi_bar=1.0, f0=f0, beta=beta, drag=drag)
+    rng = np.random.default_rng(6)
+    q = rng.uniform(-0.5, 0.5, size=(5, 3, 3, 3))
+    y = rng.uniform(-1.0, 1.0, size=(5, 3, 3))
+    buf = rng.uniform(-2.0, 2.0, size=q.shape)
+    f, u, v = f0 + beta * y, q[..., 1], q[..., 2]
+    textbook = np.stack([np.zeros_like(u), f * v - drag * u, -f * u - drag * v], axis=-1)
+    assert np.array_equal(source(q, y, params), textbook)
+    want = buf + source(q, y, params)
+    got = source(q, y, params, out=buf)
+    assert got is buf
+    assert got.tobytes() == want.tobytes()
+
+
 @given(state, st.floats(-2, 2), st.floats(-1, 1), st.floats(-1, 1))
 def test_coriolis_energy_neutrality(s, f0, beta, y):
     # exact cancellation up to the rounding of the two triple products
