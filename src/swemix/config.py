@@ -12,12 +12,14 @@ from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from . import cases, imex
+from .basis import MAX_ORDER
 from .errors import (
     ConfigParseError,
     InvalidValueError,
     MissingConfigError,
     UnknownKeyError,
 )
+from .hdg import BACKENDS
 from .mesh import PERIODIC, WALL
 
 
@@ -136,7 +138,7 @@ def _convert(key, raw):
         raise InvalidValueError(key, f"cannot parse {raw!r} as {kind.__name__}: {exc}") from None
 
 
-def parse_text(text, seen_path="<string>"):
+def parse_text(text):
     """Parse configuration text into a validated Config."""
     cfg = Config()
     given = set()
@@ -167,7 +169,7 @@ def load_config(path):
     if not os.path.isfile(path):
         raise MissingConfigError(f"configuration file not found: {path}")
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_text(fh.read(), seen_path=path)
+        return parse_text(fh.read())
 
 
 def validate(cfg):
@@ -183,8 +185,8 @@ def validate(cfg):
         bc = getattr(cfg.mesh, f"bc_{axis}")
         if bc is not None and bc not in (WALL, PERIODIC):
             raise InvalidValueError(f"mesh.bc_{axis}", f"must be '{WALL}' or '{PERIODIC}', got {bc!r}")
-    if not 1 <= cfg.disc.order <= 8:
-        raise InvalidValueError("disc.order", f"must be in [1, 8], got {cfg.disc.order}")
+    if not 1 <= cfg.disc.order <= MAX_ORDER:
+        raise InvalidValueError("disc.order", f"must be in [1, {MAX_ORDER}], got {cfg.disc.order}")
     if cfg.disc.tau is not None and cfg.disc.tau <= 0.0:
         raise InvalidValueError("disc.tau", f"must be positive, got {cfg.disc.tau}")
     if cfg.physics.phi_bar <= 0.0:
@@ -211,8 +213,9 @@ def validate(cfg):
         )
     if cfg.case.amplitude is not None and cfg.case.amplitude <= 0.0:
         raise InvalidValueError("case.amplitude", f"must be positive, got {cfg.case.amplitude}")
-    if cfg.solver.backend not in ("direct", "gmres"):
-        raise InvalidValueError("solver.backend", f"must be 'direct' or 'gmres', got {cfg.solver.backend!r}")
+    if cfg.solver.backend not in BACKENDS:
+        choices = " or ".join(map(repr, BACKENDS))
+        raise InvalidValueError("solver.backend", f"must be {choices}, got {cfg.solver.backend!r}")
     if cfg.solver.rel_tol <= 0.0:
         raise InvalidValueError("solver.rel_tol", f"must be positive, got {cfg.solver.rel_tol}")
     if cfg.solver.max_iter < 1:

@@ -18,14 +18,14 @@ the time-step restriction the splitting removes.
 
 The flux is evaluated once per stage, at the element nodes.  The volume
 term uses it whole, and the Rusanov flux reads both sides' normal fluxes
-F.n at the face nodes from it, so interior faces need no new evaluation.
-Wall faces use a reflected ghost state (normal momentum negated, the rest
-copied), formed on wall faces only; the ghosts are the only states whose
-flux is evaluated again.  Periodic faces read the wrapped neighbor through
-the shared face.  Face contributions are computed in one pass over the
-fixed face ordering and gathered back per element side, so results are
-deterministic.  A dry state is located by element only once the flux
-evaluation has raised.
+F.n at the face nodes from it.  A wall face is its inner side seen in a
+mirror R that negates the normal momentum: the ghost state is R q, and
+since every wall is axis-aligned, F(R q).n = -R (F(q).n) exactly, so the
+ghost's normal flux is a sign flip of one the stage already holds.
+Periodic faces read the wrapped neighbor through the shared face.  Face
+contributions are computed in one pass over the fixed face ordering and
+gathered back per element side, so results are deterministic.  A dry
+state is located by element only once the flux evaluation has raised.
 """
 
 from dataclasses import dataclass
@@ -161,6 +161,8 @@ class ExplicitOperator:
         self.plus = np.where(right[:, 0] >= 0, 4 * right[:, 0] + right[:, 1], self.minus)
         self.wall = np.nonzero(right[:, 0] < 0)[0]
         self.normals = mesh.face_normal[:, None, :]
+        # The wall mirror: -1 on the momentum along the normal, +1 elsewhere.
+        self.mirror = np.insert(1.0 - 2.0 * np.abs(self.normals[self.wall]), swe.PHI, 1.0, axis=-1)
         # Each element side's face, and +1 or -1 to turn the face flux outward.
         self.side_face = mesh.elem_faces.reshape(-1)
         outward = self.minus[self.side_face] == np.arange(self.side_face.size)
@@ -183,7 +185,7 @@ class ExplicitOperator:
         normal_flux = np.take(flux, self.side_flux_rows, axis=1)
         del flux  # only the side values are needed from here on
         normal_flux *= self.side_sign
-        resid -= self.lift @ self._side_fluxes(flat, normal_flux, params, flux_fn, full)
+        resid -= self.lift @ self._side_fluxes(flat, normal_flux, params, full)
 
         out = resid.reshape(data.shape)
         x, y = self.node_xy[..., 0], self.node_xy[..., 1]
@@ -192,12 +194,12 @@ class ExplicitOperator:
             out += extra_source(x, y, t)
         return out
 
-    def _side_fluxes(self, flat, normal_flux, params, flux_fn, full):
+    def _side_fluxes(self, flat, normal_flux, params, full):
         """Rusanov flux out of every element side, (nelem, 4 (p+1), 3).
 
-        Interior faces take both sides' states and normal fluxes from the
-        elements; only the reflected ghosts of wall faces need a new flux
-        evaluation.
+        Both sides' states and normal fluxes come from the elements.  On a
+        wall face the plus side reads the inner side, and the mirror turns
+        its state and its normal flux into the reflected ghost's.
         """
         n1 = self.basis.n
         traces = np.take(flat, self.ops.face_nodes.ravel(), axis=1).reshape(-1, n1, 3)
@@ -205,15 +207,8 @@ class ExplicitOperator:
         q_minus, q_plus = traces[self.minus], traces[self.plus]
         fn_minus, fn_plus = normal_flux[self.minus], normal_flux[self.plus]
         np.negative(fn_plus, out=fn_plus)  # the plus side's outward normal is -n
-        if self.wall.size:
-            # Wall ghost: the inner state with its normal momentum reflected.
-            normals = self.normals[self.wall]
-            ghost = q_minus[self.wall]
-            un = ghost[..., swe.MX] * normals[..., 0] + ghost[..., swe.MY] * normals[..., 1]
-            ghost[..., swe.MX] -= 2.0 * un * normals[..., 0]
-            ghost[..., swe.MY] -= 2.0 * un * normals[..., 1]
-            q_plus[self.wall] = ghost
-            fn_plus[self.wall] = np.einsum("...dc,...d->...c", flux_fn(ghost, params), normals)
+        q_plus[self.wall] *= self.mirror
+        fn_plus[self.wall] *= self.mirror
 
         fhat = rusanov_flux(q_minus, q_plus, fn_minus, fn_plus, self.normals, params, full)
         side_flux = fhat[self.side_face]

@@ -147,10 +147,9 @@ def energy_proxy(field, params):
     return float(0.5 * np.einsum("jk,ejk->", mass2d, dens))
 
 
-def explicit_gravity_dt(mesh, basis, params, cfl=1.0):
-    """Reference explicit gravity-wave step limit C*h / ((p+1)^2 c)."""
-    h = min(mesh.hx, mesh.hy)
-    return cfl * h / ((basis.order + 1) ** 2 * params.wave_speed)
+def explicit_gravity_dt(mesh, basis, params):
+    """Reference explicit gravity-wave step limit h / ((p+1)^2 c)."""
+    return min(mesh.hx, mesh.hy) / ((basis.order + 1) ** 2 * params.wave_speed)
 
 
 @dataclass

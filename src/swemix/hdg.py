@@ -46,6 +46,8 @@ from .dg import StateField
 from .errors import AssemblyError, InvalidArgumentError, SolverFailureError
 from .mesh import PERIODIC, SIDE_NORMALS
 
+BACKENDS = ("direct", "gmres")  # trace solvers of condense_and_factor
+
 
 @dataclass
 class TraceField:
@@ -222,7 +224,7 @@ def condense_and_factor(blocks, mesh, basis, backend="direct", rel_tol=1e-10, ma
     restarted GMRES to ``rel_tol`` with a per-face block-Jacobi
     preconditioner; ``max_iter`` counts restart cycles.
     """
-    if backend not in ("direct", "gmres"):
+    if backend not in BACKENDS:
         raise InvalidArgumentError(f"unknown solver backend {backend!r}")
     ids = _trace_ids(mesh, basis.n)
     if backend == "direct" and mesh.bc_x == PERIODIC and mesh.bc_y == PERIODIC:

@@ -74,6 +74,18 @@ def test_flux_splitting_identity(s):
     assert np.allclose(full, split, rtol=0, atol=1e-14)
 
 
+@pytest.mark.parametrize("flux", [flux_full, flux_nonlinear], ids=["full", "remainder"])
+@pytest.mark.parametrize("normal", [(1, 0), (-1, 0), (0, 1), (0, -1)])
+@given(s=state)
+def test_wall_mirror_negates_normal_flux(flux, normal, s):
+    # F(R q).n == -R (F(q).n) bitwise for the mirror R that negates the
+    # momentum along an axis-aligned n; the explicit operator forms wall
+    # ghost fluxes this way instead of evaluating the flux again.
+    n = np.array(normal, dtype=float)
+    mirror = np.array([1.0, 1.0 - 2.0 * abs(n[0]), 1.0 - 2.0 * abs(n[1])])
+    assert np.array_equal(n @ flux(mirror * s, P1), -mirror * (n @ flux(s, P1)))
+
+
 def test_flux_nonlinear_continuity_rows_zero():
     rng = np.random.default_rng(3)
     q = rng.uniform(-0.4, 0.4, size=(20, 3))
