@@ -118,9 +118,6 @@ class ElementOperators:
         face Jacobian), matching the face_lift scaling.
     """
 
-    basis: NodalBasis
-    hx: float
-    hy: float
     mass_diag: np.ndarray
     weak_dx: np.ndarray
     weak_dy: np.ndarray
@@ -160,9 +157,6 @@ def element_operators(basis, hx, hy):
         lifts.append(lift)
         fweights.append(fweight)
     return ElementOperators(
-        basis=basis,
-        hx=hx,
-        hy=hy,
         mass_diag=mass_weights(basis, hx, hy).reshape(-1),
         weak_dx=weak_dx,
         weak_dy=weak_dy,

@@ -18,7 +18,7 @@ from .basis import mass_weights, nodal_basis
 from .cases import l2_error, make_case
 from .config import CaseConfig, Config, DiscConfig, MeshConfig, PhysicsConfig, TimeConfig, validate
 from .dg import ExplicitOperator, StateField, nodal_field
-from .errors import DryStateError, InvalidArgumentError
+from .errors import DryStateError, InvalidArgumentError, SolverFailureError
 from .hdg import ImplicitSolverBank
 from .mesh import build_structured
 from .output import CsvSeriesWriter, write_vtk
@@ -195,7 +195,14 @@ def run(cfg, quiet=False):
     record(0, 0.0, q)
     t = 0.0
     for k in range(n_steps):
-        q = imex.step(pair, q, t, dt, sim.tab)
+        try:
+            q = imex.step(pair, q, t, dt, sim.tab)
+        except SolverFailureError as exc:
+            raise SolverFailureError(
+                f"step {k + 1} (t = {(k + 1) * dt:.6g}): {exc}",
+                residual=exc.residual,
+                iterations=exc.iterations,
+            ) from exc
         t = (k + 1) * dt
         record(k + 1, t, q)
 

@@ -8,10 +8,17 @@ same face.  Face nodes are ordered by increasing global coordinate along
 the face, which coincides with both incident elements' local orderings on
 a structured mesh.
 
-Face enumeration is a fixed deterministic sweep: vertical faces first
-(by y-row, then x-line), then horizontal faces (by y-line, then x-column).
-The face normal is stored as seen from the left element (outward); the
-right element's outward normal is its negation.
+Faces are numbered by one rule, applied to each axis in turn: along a
+line of n cells, face k lies between cells k-1 and k.  On a periodic axis
+there are n faces and cell -1 is cell n-1; on a wall axis there are n+1,
+and the two end faces have only a left element (the right is (-1, -1)).
+Vertical faces come first (by y-row, then x-line), then horizontal faces
+(by y-line, then x-column).  So on a doubly periodic mesh each cell owns
+its west and south faces, ``elem_faces[e, WEST] == e`` and
+``elem_faces[e, SOUTH] == nelem + e``: the (2, ny, nx) layout that the
+FFT trace solve in :mod:`swemix.hdg` reshapes the trace into.  The face
+normal is stored as seen from the left element (outward); the right
+element's outward normal is its negation.
 """
 
 from dataclasses import dataclass
@@ -55,13 +62,27 @@ class Mesh:
     def num_faces(self):
         return self.face_left.shape[0]
 
-    @property
-    def num_interior_faces(self):
-        return int(np.count_nonzero(self.face_right[:, 0] >= 0))
 
-    @property
-    def num_boundary_faces(self):
-        return self.num_faces - self.num_interior_faces
+def _axis_faces(cells, periodic, low, high):
+    """The faces normal to axis 1 of the (rows, n) cell grid ``cells``, row by row.
+
+    Face k of a row lies between cells k-1 and k; on a wall the row also
+    has a face before cell 0 and one after cell n-1.  Returns the left
+    (element, side) and right (element, side) of each face, (rows, faces, 2)
+    with (-1, -1) on a wall, and the sign of the normal seen from the left
+    element.
+    """
+    if periodic:
+        below, above = np.roll(cells, 1, axis=1), cells
+    else:
+        below = np.pad(cells, ((0, 0), (1, 0)), constant_values=-1)
+        above = np.pad(cells, ((0, 0), (0, 1)), constant_values=-1)
+    # The cell below owns the face unless it is outside the low wall.
+    owned = below >= 0
+    left = np.stack([np.where(owned, below, above), np.where(owned, high, low)], axis=-1)
+    inner = (owned & (above >= 0))[..., None]
+    right = np.where(inner, np.stack([above, np.full_like(above, low)], axis=-1), -1)
+    return left, right, np.where(owned, 1.0, -1.0)
 
 
 def build_structured(nx, ny, bounds, bc_x=WALL, bc_y=WALL):
@@ -77,54 +98,25 @@ def build_structured(nx, ny, bounds, bc_x=WALL, bc_y=WALL):
     hx = (xmax - xmin) / nx
     hy = (ymax - ymin) / ny
     nelem = nx * ny
-    ix, iy = np.meshgrid(np.arange(nx), np.arange(ny))
-    elem_x0 = (xmin + ix.reshape(-1) * hx).astype(float)
-    elem_y0 = (ymin + iy.reshape(-1) * hy).astype(float)
+    cells = np.arange(nelem).reshape(ny, nx)
+    iy, ix = np.divmod(cells.reshape(-1), nx)
 
-    elem_faces = np.full((nelem, 4), -1, dtype=int)
-    left, right, normals = [], [], []
+    v_left, v_right, v_sign = _axis_faces(cells, bc_x == PERIODIC, WEST, EAST)
+    h_left, h_right, h_sign = (
+        a.swapaxes(0, 1) for a in _axis_faces(cells.T, bc_y == PERIODIC, SOUTH, NORTH)
+    )
+    face_left = np.concatenate([v_left.reshape(-1, 2), h_left.reshape(-1, 2)])
+    face_right = np.concatenate([v_right.reshape(-1, 2), h_right.reshape(-1, 2)])
+    nvert = v_sign.size
+    face_normal = np.zeros((len(face_left), 2))
+    face_normal[:nvert, 0] = v_sign.reshape(-1)
+    face_normal[nvert:, 1] = h_sign.reshape(-1)
 
-    def add_face(l_elem, l_side, r_elem, r_side, normal):
-        fid = len(left)
-        left.append((l_elem, l_side))
-        right.append((r_elem, r_side))
-        normals.append(normal)
-        elem_faces[l_elem, l_side] = fid
-        if r_elem >= 0:
-            elem_faces[r_elem, r_side] = fid
-
-    # Vertical faces (normals along x).
-    for jy in range(ny):
-        if bc_x == PERIODIC:
-            for k in range(nx):
-                e_left = jy * nx + (k - 1) % nx
-                e_right = jy * nx + k
-                add_face(e_left, EAST, e_right, WEST, (1.0, 0.0))
-        else:
-            for k in range(nx + 1):
-                if k == 0:
-                    add_face(jy * nx + 0, WEST, -1, -1, (-1.0, 0.0))
-                elif k == nx:
-                    add_face(jy * nx + nx - 1, EAST, -1, -1, (1.0, 0.0))
-                else:
-                    add_face(jy * nx + k - 1, EAST, jy * nx + k, WEST, (1.0, 0.0))
-
-    # Horizontal faces (normals along y).
-    if bc_y == PERIODIC:
-        for k in range(ny):
-            for ix_ in range(nx):
-                e_below = ((k - 1) % ny) * nx + ix_
-                e_above = k * nx + ix_
-                add_face(e_below, NORTH, e_above, SOUTH, (0.0, 1.0))
-    else:
-        for k in range(ny + 1):
-            for ix_ in range(nx):
-                if k == 0:
-                    add_face(ix_, SOUTH, -1, -1, (0.0, -1.0))
-                elif k == ny:
-                    add_face((ny - 1) * nx + ix_, NORTH, -1, -1, (0.0, 1.0))
-                else:
-                    add_face((k - 1) * nx + ix_, NORTH, k * nx + ix_, SOUTH, (0.0, 1.0))
+    fid = np.arange(len(face_left))
+    inner = face_right[:, 0] >= 0
+    elem_faces = np.empty((nelem, 4), dtype=int)
+    elem_faces[face_left[:, 0], face_left[:, 1]] = fid
+    elem_faces[face_right[inner, 0], face_right[inner, 1]] = fid[inner]
 
     return Mesh(
         nx=nx,
@@ -137,12 +129,12 @@ def build_structured(nx, ny, bounds, bc_x=WALL, bc_y=WALL):
         bc_y=bc_y,
         hx=hx,
         hy=hy,
-        elem_x0=elem_x0,
-        elem_y0=elem_y0,
+        elem_x0=xmin + ix * hx,
+        elem_y0=ymin + iy * hy,
         elem_faces=elem_faces,
-        face_left=np.array(left, dtype=int),
-        face_right=np.array(right, dtype=int),
-        face_normal=np.array(normals, dtype=float),
+        face_left=face_left,
+        face_right=face_right,
+        face_normal=face_normal,
     )
 
 

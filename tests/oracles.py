@@ -11,7 +11,7 @@ the explicit tendency and so takes the element operators as given.
 import numpy as np
 
 from swemix.basis import element_operators
-from swemix.mesh import SIDE_NORMALS, gll_node_coords
+from swemix.mesh import EAST, NORTH, PERIODIC, SIDE_NORMALS, SOUTH, WEST, gll_node_coords
 from swemix.swe import flux_full, flux_linear, flux_nonlinear, source
 
 
@@ -382,6 +382,70 @@ def mms_source_expanded(x, y, t, params, amplitude):
     out[..., 1] = b * cs + (3.0 * u * ux + v * uy) / phi - u * upv + phi * px - f * v + params.drag * u
     out[..., 2] = b * sc + (3.0 * v * ux + u * uy) / phi - v * upv + phi * py + f * u + params.drag * v
     return out
+
+
+# --- Legacy mesh builder ------------------------------------------------------
+
+def mesh_tables_loop(nx, ny, bounds, bc_x, bc_y):
+    """The structured mesh's tables built one face at a time: the
+    byte-for-byte reference for ``swemix.mesh.build_structured``."""
+    xmin, xmax, ymin, ymax = map(float, bounds)
+    hx = (xmax - xmin) / nx
+    hy = (ymax - ymin) / ny
+    nelem = nx * ny
+    ix, iy = np.meshgrid(np.arange(nx), np.arange(ny))
+    elem_x0 = (xmin + ix.reshape(-1) * hx).astype(float)
+    elem_y0 = (ymin + iy.reshape(-1) * hy).astype(float)
+
+    elem_faces = np.full((nelem, 4), -1, dtype=int)
+    left, right, normals = [], [], []
+
+    def add_face(l_elem, l_side, r_elem, r_side, normal):
+        fid = len(left)
+        left.append((l_elem, l_side))
+        right.append((r_elem, r_side))
+        normals.append(normal)
+        elem_faces[l_elem, l_side] = fid
+        if r_elem >= 0:
+            elem_faces[r_elem, r_side] = fid
+
+    # Vertical faces (normals along x).
+    for jy in range(ny):
+        if bc_x == PERIODIC:
+            for k in range(nx):
+                add_face(jy * nx + (k - 1) % nx, EAST, jy * nx + k, WEST, (1.0, 0.0))
+        else:
+            for k in range(nx + 1):
+                if k == 0:
+                    add_face(jy * nx + 0, WEST, -1, -1, (-1.0, 0.0))
+                elif k == nx:
+                    add_face(jy * nx + nx - 1, EAST, -1, -1, (1.0, 0.0))
+                else:
+                    add_face(jy * nx + k - 1, EAST, jy * nx + k, WEST, (1.0, 0.0))
+
+    # Horizontal faces (normals along y).
+    if bc_y == PERIODIC:
+        for k in range(ny):
+            for ix_ in range(nx):
+                add_face(((k - 1) % ny) * nx + ix_, NORTH, k * nx + ix_, SOUTH, (0.0, 1.0))
+    else:
+        for k in range(ny + 1):
+            for ix_ in range(nx):
+                if k == 0:
+                    add_face(ix_, SOUTH, -1, -1, (0.0, -1.0))
+                elif k == ny:
+                    add_face((ny - 1) * nx + ix_, NORTH, -1, -1, (0.0, 1.0))
+                else:
+                    add_face((k - 1) * nx + ix_, NORTH, k * nx + ix_, SOUTH, (0.0, 1.0))
+
+    return {
+        "elem_faces": elem_faces,
+        "face_left": np.array(left, dtype=int),
+        "face_right": np.array(right, dtype=int),
+        "face_normal": np.array(normals, dtype=float),
+        "elem_x0": elem_x0,
+        "elem_y0": elem_y0,
+    }
 
 
 # --- Legacy VTK writer and reader ---------------------------------------------

@@ -34,6 +34,26 @@ def test_run_invalid_config_exit_code(tmp_path, capsys):
     assert main(["run", str(cfg)]) == 1
 
 
+def test_run_solver_failure_names_the_step(tmp_path, capsys):
+    cfg = tmp_path / "fail.cfg"
+    cfg.write_text(
+        """
+case.name = standing_wave
+time.dt = 0.01
+time.t_final = 0.02
+mesh.nx = 4
+mesh.ny = 4
+solver.backend = gmres
+solver.rel_tol = 1e-300
+solver.max_iter = 1
+output.dir = {out}
+""".format(out=tmp_path / "out")
+    )
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("solver failure: step 1 (t = 0.01): stage 1 of ars222: trace GMRES")
+
+
 def test_convergence_subcommand(tmp_path, capsys):
     cfg = tmp_path / "conv.cfg"
     cfg.write_text(

@@ -17,7 +17,7 @@ from swemix.driver import (
     run,
     total_mass,
 )
-from swemix.errors import InvalidArgumentError, InvalidValueError
+from swemix.errors import InvalidArgumentError, InvalidValueError, SolverFailureError
 from swemix.hdg import ImplicitSolverBank
 from swemix.mesh import build_structured
 from swemix.swe import ModelParams
@@ -47,6 +47,31 @@ def test_lake_at_rest_run(tmp_path):
     assert len(rows) == 12  # header + initial + 10 steps
     masses = [float(r.split(",")[2]) for r in rows[1:]]
     assert max(masses) - min(masses) <= 1e-12 * abs(masses[0])
+
+
+# One GMRES restart cycle cannot reach a relative tolerance of 1e-300.
+UNCONVERGED = """
+case.name = standing_wave
+time.dt = 0.01
+time.t_final = 0.02
+mesh.nx = 4
+mesh.ny = 4
+solver.backend = gmres
+solver.rel_tol = 1e-300
+solver.max_iter = 1
+output.dir = {out}
+"""
+
+
+def test_solver_failure_names_the_step(tmp_path):
+    cfg = _cfg(UNCONVERGED.format(out=tmp_path / "out"))
+    with pytest.raises(SolverFailureError) as err:
+        run(cfg, quiet=True)
+    assert str(err.value).startswith("step 1 (t = 0.01): stage 1 of ars222: trace GMRES did not converge")
+    stage_error = err.value.__cause__
+    assert isinstance(stage_error, SolverFailureError)
+    assert err.value.residual is not None and err.value.iterations is not None
+    assert (err.value.residual, err.value.iterations) == (stage_error.residual, stage_error.iterations)
 
 
 @pytest.mark.parametrize("scheme", ["ars111", "ars222", "ars233"])

@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from swemix.errors import InvalidArgumentError
 from swemix.mesh import (
     EAST,
@@ -19,12 +22,16 @@ from swemix.basis import nodal_basis
 BOUNDS = (0.0, 1.0, 0.0, 1.0)
 
 
+def _interior(mesh):
+    return np.count_nonzero(mesh.face_right[:, 0] >= 0)
+
+
 def test_single_element_wall_counts():
     m = build_structured(1, 1, BOUNDS, WALL, WALL)
     assert m.num_elements == 1
     assert m.num_faces == 4
-    assert m.num_interior_faces == 0
-    assert m.num_boundary_faces == 4
+    assert _interior(m) == 0
+    assert m.num_faces - _interior(m) == 4
 
 
 def test_periodic_2x2_counts():
@@ -32,14 +39,14 @@ def test_periodic_2x2_counts():
     m = build_structured(2, 2, BOUNDS, PERIODIC, PERIODIC)
     assert m.num_elements == 4
     assert m.num_faces == 8
-    assert m.num_interior_faces == 8
+    assert _interior(m) == 8
 
 
 def test_4x3_wall_counts_by_enumeration():
     m = build_structured(4, 3, (0.0, 2.0, 0.0, 1.0), WALL, WALL)
     assert m.num_elements == 12
-    assert m.num_interior_faces == 3 * 3 + 4 * 2
-    assert m.num_boundary_faces == 2 * 3 + 2 * 4
+    assert _interior(m) == 3 * 3 + 4 * 2
+    assert m.num_faces - _interior(m) == 2 * 3 + 2 * 4
 
 
 def test_invalid_arguments():
@@ -114,7 +121,8 @@ def test_interior_faces_match_geometric_adjacency(bcx, bcy):
 def test_mesh_invariants(nx, ny, bcx, bcy):
     mesh = build_structured(nx, ny, (0.0, 2.0, -1.0, 1.0), bcx, bcy)
     # handshake: every element has 4 sides
-    assert 4 * mesh.num_elements == 2 * mesh.num_interior_faces + mesh.num_boundary_faces
+    interior = _interior(mesh)
+    assert 4 * mesh.num_elements == 2 * interior + (mesh.num_faces - interior)
     # unit normals
     assert np.allclose(np.linalg.norm(mesh.face_normal, axis=1), 1.0, atol=1e-14)
     # per-axis counts
@@ -122,7 +130,7 @@ def test_mesh_invariants(nx, ny, bcx, bcy):
     ny_faces = (ny if bcy == PERIODIC else ny + 1) * nx
     assert mesh.num_faces == nx_faces + ny_faces
     if bcx == PERIODIC and bcy == PERIODIC:
-        assert mesh.num_boundary_faces == 0
+        assert interior == mesh.num_faces
     # area
     assert abs(mesh.num_elements * mesh.hx * mesh.hy - 4.0) < 1e-12 * 4.0
     # every interior face joins two distinct (element, side) slots
@@ -154,6 +162,26 @@ def test_deterministic_rebuilds_are_byte_identical():
     b = build_structured(5, 4, (0.0, 3.0, 0.0, 2.0), PERIODIC, WALL)
     for name in ("elem_faces", "face_left", "face_right", "face_normal"):
         assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+
+
+@pytest.mark.parametrize("bcx,bcy", itertools.product([WALL, PERIODIC], repeat=2))
+def test_tables_match_loop_builder(bcx, bcy):
+    bounds = (0.0, 2.0, -1.0, 1.5)
+    for nx, ny in itertools.product(range(1, 7), repeat=2):
+        mesh = build_structured(nx, ny, bounds, bcx, bcy)
+        for name, want in oracles.mesh_tables_loop(nx, ny, bounds, bcx, bcy).items():
+            got = getattr(mesh, name)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape), (nx, ny, name)
+            assert got.tobytes() == want.tobytes(), (nx, ny, name)
+
+
+@pytest.mark.parametrize("nx,ny", [(1, 1), (3, 2), (4, 5)])
+def test_periodic_cells_own_west_and_south_faces(nx, ny):
+    # the layout hdg._fft_solve reshapes the trace into, (2, ny, nx, p+1)
+    mesh = build_structured(nx, ny, BOUNDS, PERIODIC, PERIODIC)
+    cells = np.arange(mesh.num_elements)
+    assert np.array_equal(mesh.elem_faces[:, WEST], cells)
+    assert np.array_equal(mesh.elem_faces[:, SOUTH], mesh.num_elements + cells)
 
 
 def test_gll_node_coords_layout():
