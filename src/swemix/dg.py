@@ -4,28 +4,36 @@ The semi-discrete tendency of one element is the matrix form of nodal DG
 
     dq/dt = M^-1 [ Wx Fx + Wy Fy  -  LIFT fhat ] + S
 
-with the weak-derivative, face-lift and diagonal mass matrices of
+with the weak-derivative and diagonal mass matrices of
 :func:`swemix.basis.element_operators`, which the implicit HDG solve also
 uses, and Rusanov interface fluxes fhat.  M is diagonal, so M^-1 is
-folded into the rows of the volume and lift operators once, at
-construction, and the source S (Coriolis and drag) is added into the
-tendency in place.  By default the flux is the nonlinear remainder and
-the Rusanov speed is purely advective: the gravity-wave speed is
-excluded because the fast wave is handled by the implicit operator.
-The ``full`` flux is the complete one with the standard speed
-|u.n| + sqrt(phi); it exists for explicit control runs that demonstrate
-the time-step restriction the splitting removes.
+folded into the rows of the volume operator once, at construction.  On
+an affine GLL element LIFT touches only the face nodes, where M^-1 LIFT
+is the scalar 2 / (h w_0), h the element's width across the face
+(Hesthaven & Warburton, Nodal DG Methods, sec. 6.1): each face flux is
+scaled once and added to the end node columns or rows of its two cells.
+The source S (Coriolis and drag) is added into the tendency in place.
+By default the flux is the nonlinear remainder and the Rusanov speed is
+purely advective: the gravity-wave speed is excluded because the fast
+wave is handled by the implicit operator.  The ``full`` flux is the
+complete one with the standard speed |u.n| + sqrt(phi); it exists for
+explicit control runs that demonstrate the time-step restriction the
+splitting removes.
 
 The flux is evaluated once per stage, at the element nodes.  The volume
-term uses it whole, and the Rusanov flux reads both sides' normal fluxes
-F.n at the face nodes from it.  A wall face is its inner side seen in a
-mirror R that negates the normal momentum: the ghost state is R q, and
-since every wall is axis-aligned, F(R q).n = -R (F(q).n) exactly, so the
-ghost's normal flux is a sign flip of one the stage already holds.
-Periodic faces read the wrapped neighbor through the shared face.  Face
-contributions are computed in one pass over the fixed face ordering and
-gathered back per element side, so results are deterministic.  A dry
-state is located by element only once the flux evaluation has raised.
+term uses it whole; the face path reads the state and the flux as
+(ny, nx, p+1, p+1, ...) grids, so every trace is a slice.  Along each
+axis, face k of a line of n cells lies between cells k-1 and k, with
+normal +x or +y: its minus side is the east node column (or north row)
+of cell k-1, its plus side the west column (or south row) of cell k.
+Each line has n+1 faces.  On a periodic axis both end faces are the
+wrapped face between cells n-1 and 0.  On a wall an end face sees its
+inner side in a mirror R that negates the normal momentum: the ghost
+state is R q, and since every wall is axis-aligned, F(R q).n =
+-R (F(q).n) exactly, so the ghost's normal flux is a sign flip of one
+the stage already holds.  Both face families go through one Rusanov
+call, in a fixed order, so results are deterministic.  A dry state is
+located by element only once the flux evaluation has raised.
 """
 
 from dataclasses import dataclass
@@ -111,7 +119,10 @@ def rusanov_flux(q_minus, q_plus, fn_minus, fn_plus, normal, params, full=False)
     smax = np.maximum(np.abs(un_minus), np.abs(un_plus))
     if full:
         smax = smax + np.sqrt(np.maximum(phi_minus, phi_plus))
-    return 0.5 * (fn_minus + fn_plus) - 0.5 * smax[..., None] * (q_plus - q_minus)
+    jump = q_plus - q_minus
+    for c in range(jump.shape[-1]):  # one pass per component, not 3-value inner loops
+        jump[..., c] *= smax
+    return 0.5 * (fn_minus + fn_plus - jump)
 
 
 def _dry_element_error(data, params):
@@ -125,92 +136,109 @@ def _dry_element_error(data, params):
     )
 
 
+def _ends(a, axis):
+    """The low and high end traces of every cell along ``axis`` (0 = x,
+    1 = y) of an (ny, nx, p+1, p+1, ...) nodal array: the west and east
+    node columns, or the south and north node rows.  Each is a view of
+    shape (lines, cells, p+1, ...), with the cells along ``axis`` on axis 1."""
+    if axis == 0:
+        return a[:, :, :, 0], a[:, :, :, -1]
+    a = a.swapaxes(0, 1)
+    return a[:, :, 0], a[:, :, -1]
+
+
+def _fill_faces(minus, plus, lo, hi, mirror):
+    """Fill the minus and plus traces, (lines, cells + 1, p+1, 3), of the
+    faces along a line of cells from the cells' ``lo`` and ``hi`` end traces.
+
+    Face k lies between cells k-1 and k.  The two end faces are the wrapped
+    face seen twice on a periodic axis (``mirror`` None), or on a wall the
+    end cell's trace times ``mirror``, which forms the reflected ghost.
+    """
+    minus[:, 1:] = hi
+    plus[:, :-1] = lo
+    if mirror is None:
+        minus[:, 0] = hi[:, -1]
+        plus[:, -1] = lo[:, 0]
+    else:
+        np.multiply(lo[:, 0], mirror, out=minus[:, 0])
+        np.multiply(hi[:, -1], mirror, out=plus[:, -1])
+
+
 class ExplicitOperator:
-    """Connectivity and element operators for tendency evaluation.
+    """Element operators and face layout for tendency evaluation.
 
     Construction is cheap; reuse one instance across a time march to avoid
-    rebuilding index arrays every stage.
+    rebuilding them every stage.
     """
 
     def __init__(self, mesh, basis):
-        from .mesh import SIDE_NORMALS, gll_node_coords
+        from .mesh import PERIODIC, gll_node_coords
 
         self.mesh = mesh
         self.basis = basis
-        self.ops = element_operators(basis, mesh.hx, mesh.hy)
+        ops = element_operators(basis, mesh.hx, mesh.hy)
         # The flux tensor read as (e, 2 * nodes, 3) interleaves x and y per
-        # node; the volume matrix interleaves weak_dx and weak_dy to match.
-        # Both operators carry the inverse of the diagonal mass in their rows.
+        # node; the volume matrix interleaves weak_dx and weak_dy to match,
+        # and carries the inverse of the diagonal mass in its rows.
         nodes = basis.n * basis.n
-        mass = self.ops.mass_diag[:, None]
-        weak = np.stack([self.ops.weak_dx, self.ops.weak_dy], axis=2).reshape(nodes, 2 * nodes)
-        self.weak = weak / mass
-        self.lift = np.hstack(self.ops.face_lift) / mass  # (nodes, side-major face nodes)
+        weak = np.stack([ops.weak_dx, ops.weak_dy], axis=2).reshape(nodes, 2 * nodes)
+        self.weak = weak / ops.mass_diag[:, None]
         self.node_xy = gll_node_coords(mesh, basis)
 
-        # Every side is axis-aligned, so its outward normal flux is one
-        # flux axis, signed: rows of the (e, 2 * nodes, 3) flux.
-        axis = np.argmax(np.abs(SIDE_NORMALS), axis=1)
-        self.side_flux_rows = (2 * self.ops.face_nodes + axis[:, None]).ravel()
-        self.side_sign = np.repeat(SIDE_NORMALS[np.arange(4), axis], basis.n)[:, None]
-
-        # Faces address element sides as 4 * element + side.  A wall face
-        # reads its own minus side as the plus side until the reflection.
-        left, right = mesh.face_left, mesh.face_right
-        self.minus = 4 * left[:, 0] + left[:, 1]
-        self.plus = np.where(right[:, 0] >= 0, 4 * right[:, 0] + right[:, 1], self.minus)
-        self.wall = np.nonzero(right[:, 0] < 0)[0]
-        self.normals = mesh.face_normal[:, None, :]
-        # The wall mirror: -1 on the momentum along the normal, +1 elsewhere.
-        self.mirror = np.insert(1.0 - 2.0 * np.abs(self.normals[self.wall]), swe.PHI, 1.0, axis=-1)
-        # Each element side's face, and +1 or -1 to turn the face flux outward.
-        self.side_face = mesh.elem_faces.reshape(-1)
-        outward = self.minus[self.side_face] == np.arange(self.side_face.size)
-        self.side_face_sign = np.where(outward, 1.0, -1.0)[:, None, None]
+        # One face family per axis: a (lines, cells + 1) block of the face
+        # buffers, its wall mirror (-1 on the normal momentum) and its lift.
+        self.families = []
+        start = 0
+        for axis, periodic, h, lines, cells in (
+            (0, mesh.bc_x == PERIODIC, mesh.hx, mesh.ny, mesh.nx),
+            (1, mesh.bc_y == PERIODIC, mesh.hy, mesh.nx, mesh.ny),
+        ):
+            mirror = None if periodic else np.where(np.arange(3) == swe.MX + axis, -1.0, 1.0)
+            stop = start + lines * (cells + 1)
+            self.families.append((slice(start, stop), (lines, cells + 1), mirror, 2.0 / (h * basis.weights[0])))
+            start = stop
+        # Per face node, so that the Rusanov u.n runs in contiguous passes.
+        self.normals = np.zeros((start, basis.n, 2))
+        for axis, (faces, *_) in enumerate(self.families):
+            self.normals[faces, :, axis] = 1.0
 
     def tendency(self, data, t, params, extra_source=None, full=False):
         """Semi-discrete tendency for nodal data (nelem, p+1, p+1, 3);
         ``full`` selects the complete flux as in :func:`rusanov_flux`."""
         nelem, n1 = data.shape[0], self.basis.n
-        flat = data.reshape(nelem, n1 * n1, 3)
         flux_fn = swe.flux_full if full else swe.flux_nonlinear
         try:
-            flux = flux_fn(flat, params).reshape(nelem, -1, 3)
+            flux = flux_fn(data.reshape(nelem, n1 * n1, 3), params)
         except DryStateError as exc:
             raise _dry_element_error(data, params) from exc
 
-        resid = self.weak @ flux
-        # The outward normal flux F.n at every element side's nodes, read
-        # from the volume flux: (nelem, 4, p+1, 3) stored as (nelem, 4 (p+1), 3).
-        normal_flux = np.take(flux, self.side_flux_rows, axis=1)
-        del flux  # only the side values are needed from here on
-        normal_flux *= self.side_sign
-        resid -= self.lift @ self._side_fluxes(flat, normal_flux, params, full)
+        resid = self.weak @ flux.reshape(nelem, -1, 3)
+        grid = (self.mesh.ny, self.mesh.nx, n1, n1)
+        q, flux = data.reshape(grid + (3,)), flux.reshape(grid + (2, 3))
+        # Both sides' states and normal fluxes at every face: q-, q+, F.n-, F.n+.
+        traces = np.empty((4, len(self.normals), n1, 3))
+        for axis, (faces, shape, mirror, _) in enumerate(self.families):
+            q_m, q_p, fn_m, fn_p = (row[faces].reshape(shape + (n1, 3)) for row in traces)
+            _fill_faces(q_m, q_p, *_ends(q, axis), mirror)
+            _fill_faces(fn_m, fn_p, *_ends(flux[..., axis, :], axis), None if mirror is None else -mirror)
+        del flux  # only the face values are needed from here on
+        fhat = rusanov_flux(*traces, self.normals, params, full)
 
+        # A cell's low end face flows in, its high end face out.  Summing with
+        # the x cells innermost beats the 3-value inner loops of a node column.
         out = resid.reshape(data.shape)
+        lifted = out.reshape(grid + (3,))
+        for axis, (faces, shape, _, lift) in enumerate(self.families):
+            face_flux = fhat[faces].reshape(shape + (n1, 3))
+            face_flux *= lift
+            x_last = (0, 2, 3, 1) if axis == 0 else (1, 2, 3, 0)
+            lo, hi = (end.transpose(x_last) for end in _ends(lifted, axis))
+            np.add(lo, face_flux[:, :-1].transpose(x_last), out=lo, order="C")
+            np.subtract(hi, face_flux[:, 1:].transpose(x_last), out=hi, order="C")
+
         x, y = self.node_xy[..., 0], self.node_xy[..., 1]
         swe.source(data, y, params, out=out)
         if extra_source is not None:
             out += extra_source(x, y, t)
         return out
-
-    def _side_fluxes(self, flat, normal_flux, params, full):
-        """Rusanov flux out of every element side, (nelem, 4 (p+1), 3).
-
-        Both sides' states and normal fluxes come from the elements.  On a
-        wall face the plus side reads the inner side, and the mirror turns
-        its state and its normal flux into the reflected ghost's.
-        """
-        n1 = self.basis.n
-        traces = np.take(flat, self.ops.face_nodes.ravel(), axis=1).reshape(-1, n1, 3)
-        normal_flux = normal_flux.reshape(-1, n1, 3)
-        q_minus, q_plus = traces[self.minus], traces[self.plus]
-        fn_minus, fn_plus = normal_flux[self.minus], normal_flux[self.plus]
-        np.negative(fn_plus, out=fn_plus)  # the plus side's outward normal is -n
-        q_plus[self.wall] *= self.mirror
-        fn_plus[self.wall] *= self.mirror
-
-        fhat = rusanov_flux(q_minus, q_plus, fn_minus, fn_plus, self.normals, params, full)
-        side_flux = fhat[self.side_face]
-        side_flux *= self.side_face_sign
-        return side_flux.reshape(flat.shape[0], -1, 3)

@@ -203,6 +203,8 @@ def run(cfg, quiet=False):
                 residual=exc.residual,
                 iterations=exc.iterations,
             ) from exc
+        except DryStateError as exc:
+            raise DryStateError(f"step {k + 1} (t = {(k + 1) * dt:.6g}): {exc}", element=exc.element) from exc
         t = (k + 1) * dt
         record(k + 1, t, q)
 

@@ -11,14 +11,13 @@ a structured mesh.
 Faces are numbered by one rule, applied to each axis in turn: along a
 line of n cells, face k lies between cells k-1 and k.  On a periodic axis
 there are n faces and cell -1 is cell n-1; on a wall axis there are n+1,
-and the two end faces have only a left element (the right is (-1, -1)).
-Vertical faces come first (by y-row, then x-line), then horizontal faces
-(by y-line, then x-column).  So on a doubly periodic mesh each cell owns
-its west and south faces, ``elem_faces[e, WEST] == e`` and
-``elem_faces[e, SOUTH] == nelem + e``: the (2, ny, nx) layout that the
-FFT trace solve in :mod:`swemix.hdg` reshapes the trace into.  The face
-normal is stored as seen from the left element (outward); the right
-element's outward normal is its negation.
+and the two end faces belong to one element only.  Vertical faces come
+first (by y-row, then x-line), then horizontal faces (by y-line, then
+x-column).  ``elem_faces`` maps each element side to its face.  So on a
+doubly periodic mesh each cell owns its west and south faces,
+``elem_faces[e, WEST] == e`` and ``elem_faces[e, SOUTH] == nelem + e``: the
+(2, ny, nx) layout that the FFT trace solve in :mod:`swemix.hdg` reshapes
+the trace into.
 """
 
 from dataclasses import dataclass
@@ -50,9 +49,6 @@ class Mesh:
     elem_x0: np.ndarray  # (nelem,) lower-left corner x
     elem_y0: np.ndarray
     elem_faces: np.ndarray  # (nelem, 4) face id per local side
-    face_left: np.ndarray  # (nface, 2) = (element, side)
-    face_right: np.ndarray  # (nface, 2) = (element, side) or (-1, -1) wall
-    face_normal: np.ndarray  # (nface, 2) outward from the left element
 
     @property
     def num_elements(self):
@@ -60,29 +56,13 @@ class Mesh:
 
     @property
     def num_faces(self):
-        return self.face_left.shape[0]
+        return _line_faces(self.nx, self.bc_x) * self.ny + _line_faces(self.ny, self.bc_y) * self.nx
 
 
-def _axis_faces(cells, periodic, low, high):
-    """The faces normal to axis 1 of the (rows, n) cell grid ``cells``, row by row.
-
-    Face k of a row lies between cells k-1 and k; on a wall the row also
-    has a face before cell 0 and one after cell n-1.  Returns the left
-    (element, side) and right (element, side) of each face, (rows, faces, 2)
-    with (-1, -1) on a wall, and the sign of the normal seen from the left
-    element.
-    """
-    if periodic:
-        below, above = np.roll(cells, 1, axis=1), cells
-    else:
-        below = np.pad(cells, ((0, 0), (1, 0)), constant_values=-1)
-        above = np.pad(cells, ((0, 0), (0, 1)), constant_values=-1)
-    # The cell below owns the face unless it is outside the low wall.
-    owned = below >= 0
-    left = np.stack([np.where(owned, below, above), np.where(owned, high, low)], axis=-1)
-    inner = (owned & (above >= 0))[..., None]
-    right = np.where(inner, np.stack([above, np.full_like(above, low)], axis=-1), -1)
-    return left, right, np.where(owned, 1.0, -1.0)
+def _line_faces(cells, bc):
+    """The faces along a line of cells: one fewer on a periodic axis, whose
+    end faces are one."""
+    return cells if bc == PERIODIC else cells + 1
 
 
 def build_structured(nx, ny, bounds, bc_x=WALL, bc_y=WALL):
@@ -97,26 +77,14 @@ def build_structured(nx, ny, bounds, bc_x=WALL, bc_y=WALL):
 
     hx = (xmax - xmin) / nx
     hy = (ymax - ymin) / ny
-    nelem = nx * ny
-    cells = np.arange(nelem).reshape(ny, nx)
-    iy, ix = np.divmod(cells.reshape(-1), nx)
-
-    v_left, v_right, v_sign = _axis_faces(cells, bc_x == PERIODIC, WEST, EAST)
-    h_left, h_right, h_sign = (
-        a.swapaxes(0, 1) for a in _axis_faces(cells.T, bc_y == PERIODIC, SOUTH, NORTH)
-    )
-    face_left = np.concatenate([v_left.reshape(-1, 2), h_left.reshape(-1, 2)])
-    face_right = np.concatenate([v_right.reshape(-1, 2), h_right.reshape(-1, 2)])
-    nvert = v_sign.size
-    face_normal = np.zeros((len(face_left), 2))
-    face_normal[:nvert, 0] = v_sign.reshape(-1)
-    face_normal[nvert:, 1] = h_sign.reshape(-1)
-
-    fid = np.arange(len(face_left))
-    inner = face_right[:, 0] >= 0
-    elem_faces = np.empty((nelem, 4), dtype=int)
-    elem_faces[face_left[:, 0], face_left[:, 1]] = fid
-    elem_faces[face_right[inner, 0], face_right[inner, 1]] = fid[inner]
+    iy, ix = np.divmod(np.arange(nx * ny), nx)
+    # Cell k of a line owns face k; its high face is face k+1, wrapped on a
+    # periodic axis.
+    nfx, nfy = _line_faces(nx, bc_x), _line_faces(ny, bc_y)
+    west = iy * nfx + ix
+    south = nfx * ny + iy * nx + ix
+    east = iy * nfx + (ix + 1) % nfx
+    north = nfx * ny + (iy + 1) % nfy * nx + ix
 
     return Mesh(
         nx=nx,
@@ -131,10 +99,7 @@ def build_structured(nx, ny, bounds, bc_x=WALL, bc_y=WALL):
         hy=hy,
         elem_x0=xmin + ix * hx,
         elem_y0=ymin + iy * hy,
-        elem_faces=elem_faces,
-        face_left=face_left,
-        face_right=face_right,
-        face_normal=face_normal,
+        elem_faces=np.stack([south, east, north, west], axis=1),
     )
 
 
@@ -142,12 +107,12 @@ def gll_node_coords(mesh, basis):
     """Physical coordinates of all element GLL nodes, shape (nelem, p+1, p+1, 2).
 
     Axis 1 is the y node index, axis 2 the x node index, matching the
-    state-array layout used throughout.
+    state-array layout used throughout.  The array is stored x plane then
+    y plane, so ``[..., 0]`` and ``[..., 1]`` are contiguous: the closed
+    forms of :mod:`swemix.cases` compare them by value on every call.
     """
     ref = 0.5 * (basis.nodes + 1.0)
-    x = mesh.elem_x0[:, None, None] + mesh.hx * ref[None, None, :]
-    y = mesh.elem_y0[:, None, None] + mesh.hy * ref[None, :, None]
-    coords = np.empty((mesh.num_elements, basis.n, basis.n, 2))
-    coords[..., 0] = x
-    coords[..., 1] = y
-    return coords
+    coords = np.empty((2, mesh.num_elements, basis.n, basis.n))
+    coords[0] = mesh.elem_x0[:, None, None] + mesh.hx * ref[None, None, :]
+    coords[1] = mesh.elem_y0[:, None, None] + mesh.hy * ref[None, :, None]
+    return np.moveaxis(coords, 0, -1)

@@ -296,8 +296,9 @@ def face_path_tendency(mesh, basis, data, t, params, extra_source=None, full=Fal
     """The explicit DG tendency with the face path written out in full: the
     flux is evaluated again on both traces of every face, and a reflected
     ghost is formed on every face and then replaced by the neighbor's trace
-    on interior faces.  The reference for ``ExplicitOperator.tendency``,
-    which reads the face fluxes from its volume flux instead."""
+    on interior faces.  The face tables come from :func:`mesh_tables_loop`.
+    The reference for ``ExplicitOperator.tendency``, which reads the face
+    fluxes from its volume flux instead."""
     ops = element_operators(basis, mesh.hx, mesh.hy)
     lift = np.hstack(ops.face_lift)
     nelem, n1 = data.shape[0], basis.n
@@ -307,13 +308,15 @@ def face_path_tendency(mesh, basis, data, t, params, extra_source=None, full=Fal
     flux = flux_fn(flat, params)
     resid = ops.weak_dx @ flux[..., 0, :] + ops.weak_dy @ flux[..., 1, :]
 
-    left_elem, left_side = mesh.face_left[:, 0], mesh.face_left[:, 1]
-    right_elem, right_side = mesh.face_right[:, 0], mesh.face_right[:, 1]
+    bounds = (mesh.xmin, mesh.xmax, mesh.ymin, mesh.ymax)
+    tables = mesh_tables_loop(mesh.nx, mesh.ny, bounds, mesh.bc_x, mesh.bc_y)
+    left_elem, left_side = tables["face_left"][:, 0], tables["face_left"][:, 1]
+    right_elem, right_side = tables["face_right"][:, 0], tables["face_right"][:, 1]
     ids = np.nonzero(right_elem >= 0)[0]
     traces = flat[:, ops.face_nodes]
     q_left = traces[left_elem, left_side]
     q_right = q_left.copy()
-    normals = mesh.face_normal[:, None, :]
+    normals = tables["face_normal"][:, None, :]
     un = q_left[..., 1] * normals[..., 0] + q_left[..., 2] * normals[..., 1]
     q_right[..., 1] -= 2.0 * un * normals[..., 0]
     q_right[..., 2] -= 2.0 * un * normals[..., 1]
@@ -388,7 +391,11 @@ def mms_source_expanded(x, y, t, params, amplitude):
 
 def mesh_tables_loop(nx, ny, bounds, bc_x, bc_y):
     """The structured mesh's tables built one face at a time: the
-    byte-for-byte reference for ``swemix.mesh.build_structured``."""
+    byte-for-byte reference for ``swemix.mesh.build_structured``'s
+    ``elem_faces``, ``elem_x0`` and ``elem_y0``, and the source of the
+    face tables of :func:`face_path_tendency`: each face's left and right
+    (element, side), (-1, -1) on a wall, and its normal, outward from the
+    left element."""
     xmin, xmax, ymin, ymax = map(float, bounds)
     hx = (xmax - xmin) / nx
     hy = (ymax - ymin) / ny

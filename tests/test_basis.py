@@ -95,6 +95,24 @@ def test_element_operators_p1_mass():
     assert np.allclose(ops.mass_diag, 0.25 * np.ones(4), atol=1e-15)
 
 
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+def test_lift_is_a_scalar_at_face_nodes(p):
+    # On an affine GLL element M^-1 LIFT is 2 / (h w_0) at each face node,
+    # h the width across the face, and zero off the face nodes: the
+    # explicit DG operator lifts its face fluxes by that scalar.
+    basis = nodal_basis(p)
+    hx, hy = 0.7, 1.9
+    ops = element_operators(basis, hx, hy)
+    k = np.arange(basis.n)
+    for side in range(4):
+        h = hx if SIDE_NORMALS[side, 0] != 0.0 else hy
+        lifted = ops.face_lift[side] / ops.mass_diag[:, None]
+        on_face = np.zeros(lifted.shape, dtype=bool)
+        on_face[ops.face_nodes[side], k] = True
+        assert np.allclose(lifted[on_face], 2.0 / (h * basis.weights[0]), rtol=1e-14, atol=0.0)
+        assert np.all(lifted[~on_face] == 0.0)
+
+
 def test_element_operators_rejects_degenerate():
     with pytest.raises(InvalidArgumentError):
         element_operators(nodal_basis(2), 0.0, 1.0)

@@ -1,4 +1,5 @@
 import os
+import re
 
 import pytest
 
@@ -52,6 +53,25 @@ output.dir = {out}
     assert main(["run", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("solver failure: step 1 (t = 0.01): stage 1 of ars222: trace GMRES")
+
+
+def test_run_dry_state_names_the_step(tmp_path, capsys):
+    cfg = tmp_path / "dry.cfg"
+    cfg.write_text(
+        """
+case.name = mms_nonlinear
+case.amplitude = 0.1
+time.dt = 0.5
+time.t_final = 6.0
+mesh.nx = 8
+mesh.ny = 8
+disc.order = 6
+output.dir = {out}
+""".format(out=tmp_path / "out")
+    )
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert re.match(r"solver failure: step \d+ \(t = [0-9.e+-]+\): non-positive geopotential in element \d+ ", err), err
 
 
 def test_convergence_subcommand(tmp_path, capsys):

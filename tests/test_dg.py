@@ -7,7 +7,7 @@ import oracles
 from swemix.basis import mass_weights, nodal_basis
 from swemix.dg import ExplicitOperator, StateField, nodal_field, rusanov_flux
 from swemix.errors import DryStateError
-from swemix.mesh import PERIODIC, WALL, build_structured
+from swemix.mesh import PERIODIC, WALL, build_structured, gll_node_coords
 from swemix.swe import ModelParams, flux_nonlinear
 
 P1 = ModelParams(phi_bar=1.0)
@@ -136,12 +136,9 @@ def test_local_support():
     bumped = field.data.copy()
     bumped[target] += rng.uniform(-0.05, 0.05, size=bumped[target].shape)
     diff = np.max(np.abs(op.tendency(bumped, 0.0, P1) - base), axis=(1, 2, 3))
-    neighbors = {target}
-    for side in range(4):
-        f = mesh.elem_faces[target, side]
-        for e in (mesh.face_left[f, 0], mesh.face_right[f, 0]):
-            if e >= 0:
-                neighbors.add(int(e))
+    # the elements that hold one of the target's faces, the target included
+    neighbors = set(np.nonzero(np.isin(mesh.elem_faces, mesh.elem_faces[target]).any(axis=1))[0].tolist())
+    assert len(neighbors) == 5
     touched = set(np.nonzero(diff > 0)[0].tolist())
     assert touched <= neighbors
     assert target in touched
@@ -177,7 +174,7 @@ def _extra_source(x, y, t):
 
 
 @pytest.mark.parametrize("full", [False, True], ids=["remainder", "full"])
-@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
 @pytest.mark.parametrize(
     "nx, ny, bcs",
     [
@@ -186,13 +183,16 @@ def _extra_source(x, y, t):
         (4, 3, (PERIODIC, WALL)),
         (3, 4, (WALL, PERIODIC)),
         (1, 1, (PERIODIC, PERIODIC)),
+        (2, 1, (PERIODIC, WALL)),
     ],
-    ids=["wall-4x3", "periodic-4x3", "periodic-wall-4x3", "wall-periodic-3x4", "periodic-1x1"],
+    ids=["wall-4x3", "periodic-4x3", "periodic-wall-4x3", "wall-periodic-3x4", "periodic-1x1", "periodic-wall-2x1"],
 )
 def test_tendency_matches_face_path_oracle(nx, ny, bcs, p, full):
     # The oracle evaluates the flux again on both traces of every face and
-    # reflects a ghost on every face; the operator reads the face values
-    # from its volume flux and reflects wall ghosts only.
+    # reflects a ghost on every face, with the face tables of the per-face
+    # loop; the operator slices the face values out of the state and its
+    # volume flux and reflects wall ghosts only.  On the 1x1 and 2x1 meshes
+    # both x-neighbours of a cell are the same cell.
     mesh = build_structured(nx, ny, (0.0, 1.3, -0.2, 0.9), *bcs)
     basis = nodal_basis(p)
     rng = np.random.default_rng(100 * p + nx + 7 * ny)
@@ -225,6 +225,50 @@ def test_flux_evaluated_once_per_stage(monkeypatch, bcs, full):
     data = rng.uniform(-0.3, 0.3, size=(mesh.num_elements, basis.n, basis.n, 3))
     ExplicitOperator(mesh, basis).tendency(data, 0.0, P1, full=full)
     assert shapes == [(mesh.num_elements, basis.n * basis.n, 3)]
+
+
+@pytest.mark.parametrize("bcs", [(PERIODIC, PERIODIC), (PERIODIC, WALL), (WALL, WALL)])
+def test_rusanov_called_once_per_tendency(monkeypatch, bcs):
+    # Both face families go through one call, through the module, so that a
+    # hook on dg.rusanov_flux sees it.
+    from swemix import dg
+
+    real = dg.rusanov_flux
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(dg, "rusanov_flux", counted)
+    mesh = build_structured(4, 3, (0.0, 1.0, 0.0, 1.0), *bcs)
+    basis = nodal_basis(2)
+    rng = np.random.default_rng(6)
+    data = rng.uniform(-0.3, 0.3, size=(mesh.num_elements, basis.n, basis.n, 3))
+    op = ExplicitOperator(mesh, basis)
+    op.tendency(data, 0.0, P1)
+    assert len(calls) == 1 and calls[0][1:] == (basis.n, 3)
+    op.tendency(data, 0.0, P1, full=True)
+    assert len(calls) == 2
+
+
+def test_extra_source_gets_contiguous_node_coords():
+    # The manufactured source's trig cache compares x and y by value on
+    # every call, which is cheaper on contiguous arrays.
+    mesh = build_structured(4, 3, (0.0, 1.3, -0.2, 0.9), PERIODIC, WALL)
+    basis = nodal_basis(2)
+    seen = []
+
+    def source(x, y, t):
+        seen.append((x, y))
+        return np.zeros(np.shape(x) + (3,))
+
+    op = ExplicitOperator(mesh, basis)
+    op.tendency(np.zeros((mesh.num_elements, basis.n, basis.n, 3)), 0.0, P1, extra_source=source)
+    (x, y), = seen
+    xy = gll_node_coords(mesh, basis)
+    assert x.flags.c_contiguous and y.flags.c_contiguous
+    assert np.array_equal(x, xy[..., 0]) and np.array_equal(y, xy[..., 1])
 
 
 @pytest.mark.parametrize("params", [P1, ROTATING], ids=["no-source", "rotating"])

@@ -1,4 +1,5 @@
 import os
+import re
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from swemix.driver import (
     run,
     total_mass,
 )
-from swemix.errors import InvalidArgumentError, InvalidValueError, SolverFailureError
+from swemix.errors import DryStateError, InvalidArgumentError, InvalidValueError, SolverFailureError
 from swemix.hdg import ImplicitSolverBank
 from swemix.mesh import build_structured
 from swemix.swe import ModelParams
@@ -72,6 +73,34 @@ def test_solver_failure_names_the_step(tmp_path):
     assert isinstance(stage_error, SolverFailureError)
     assert err.value.residual is not None and err.value.iterations is not None
     assert (err.value.residual, err.value.iterations) == (stage_error.residual, stage_error.iterations)
+
+
+# Half-unit steps on a coarse p = 6 mesh drive the manufactured flow dry
+# within a dozen steps.
+GOES_DRY = """
+case.name = mms_nonlinear
+case.amplitude = 0.1
+time.dt = 0.5
+time.t_final = 6.0
+mesh.nx = 8
+mesh.ny = 8
+disc.order = 6
+output.dir = {out}
+"""
+
+
+def test_dry_state_names_the_step(tmp_path):
+    cfg = _cfg(GOES_DRY.format(out=tmp_path / "out"))
+    with pytest.raises(DryStateError) as err:
+        run(cfg, quiet=True)
+    match = re.match(r"step (\d+) \(t = ([0-9.e+-]+)\): non-positive geopotential in element (\d+) ", str(err.value))
+    assert match is not None, str(err.value)
+    step, t, element = int(match[1]), float(match[2]), int(match[3])
+    assert t == step * 0.5
+    stage_error = err.value.__cause__
+    assert isinstance(stage_error, DryStateError)
+    assert err.value.element == stage_error.element == element
+    assert str(err.value).endswith(str(stage_error))
 
 
 @pytest.mark.parametrize("scheme", ["ars111", "ars222", "ars233"])

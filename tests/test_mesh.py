@@ -9,7 +9,6 @@ import oracles
 from swemix.errors import InvalidArgumentError
 from swemix.mesh import (
     EAST,
-    NORTH,
     PERIODIC,
     SOUTH,
     WALL,
@@ -22,8 +21,21 @@ from swemix.basis import nodal_basis
 BOUNDS = (0.0, 1.0, 0.0, 1.0)
 
 
+def _slots(mesh):
+    """The number of (element, side) slots that hold each face id."""
+    return np.bincount(mesh.elem_faces.ravel(), minlength=mesh.num_faces)
+
+
 def _interior(mesh):
-    return np.count_nonzero(mesh.face_right[:, 0] >= 0)
+    return np.count_nonzero(_slots(mesh) == 2)
+
+
+def _interior_pairs(mesh):
+    """The (element, side) slots of each interior face, keyed by face id."""
+    pairs = {}
+    for e, side in itertools.product(range(mesh.num_elements), range(4)):
+        pairs.setdefault(int(mesh.elem_faces[e, side]), []).append((e, side))
+    return {f: slots for f, slots in pairs.items() if len(slots) == 2}
 
 
 def test_single_element_wall_counts():
@@ -61,21 +73,20 @@ def test_invalid_arguments():
 
 
 def test_face_neighbors_single_element():
+    # every side of the one element is a distinct boundary face
     m = build_structured(1, 1, BOUNDS, WALL, WALL)
-    assert np.array_equal(m.face_left[:, 0], np.zeros(4, dtype=int))
-    assert sorted(m.face_left[:, 1]) == [SOUTH, EAST, NORTH, WEST]
-    assert np.array_equal(m.face_right, np.full((4, 2), -1))
+    assert sorted(m.elem_faces[0]) == [0, 1, 2, 3]
+    assert np.array_equal(_slots(m), np.ones(4, dtype=int))
 
 
 def test_face_neighbors_periodic_wrap():
     m = build_structured(2, 1, BOUNDS, PERIODIC, WALL)
-    wrap = [f for f in range(m.num_faces)
-            if m.face_right[f, 0] >= 0 and m.face_normal[f, 0] != 0.0
-            and {m.face_left[f, 0], m.face_right[f, 0]} == {0, 1}]
     # two vertical faces: the interior line and the wrap, both join 0 and 1
-    assert len(wrap) == 2
-    pairs = {(tuple(m.face_left[f]), tuple(m.face_right[f])) for f in wrap}
-    assert pairs == {((0, EAST), (1, WEST)), ((1, EAST), (0, WEST))}
+    vertical = [slots for slots in _interior_pairs(m).values() if {s for _, s in slots} == {EAST, WEST}]
+    assert len(vertical) == 2
+    assert {tuple(sorted(slots)) for slots in vertical} == {((0, EAST), (1, WEST)), ((0, WEST), (1, EAST))}
+    assert m.elem_faces[0, EAST] == m.elem_faces[1, WEST]
+    assert m.elem_faces[1, EAST] == m.elem_faces[0, WEST]
 
 
 def _geometric_adjacency(mesh):
@@ -104,10 +115,8 @@ def test_interior_faces_match_geometric_adjacency(bcx, bcy):
     mesh = build_structured(4, 3, (0.0, 2.0, 0.0, 1.5), bcx, bcy)
     expected = _geometric_adjacency(mesh)
     got = set()
-    for f in range(mesh.num_faces):
-        if mesh.face_right[f, 0] >= 0:
-            a, b = int(mesh.face_left[f, 0]), int(mesh.face_right[f, 0])
-            got.add((min(a, b), max(a, b)))
+    for (a, _), (b, _) in _interior_pairs(mesh).values():
+        got.add((min(a, b), max(a, b)))
     assert got == expected
 
 
@@ -120,11 +129,10 @@ def test_interior_faces_match_geometric_adjacency(bcx, bcy):
 @settings(max_examples=40)
 def test_mesh_invariants(nx, ny, bcx, bcy):
     mesh = build_structured(nx, ny, (0.0, 2.0, -1.0, 1.0), bcx, bcy)
-    # handshake: every element has 4 sides
+    # handshake: every element has 4 sides, each face has one or two
     interior = _interior(mesh)
     assert 4 * mesh.num_elements == 2 * interior + (mesh.num_faces - interior)
-    # unit normals
-    assert np.allclose(np.linalg.norm(mesh.face_normal, axis=1), 1.0, atol=1e-14)
+    assert set(_slots(mesh).tolist()) <= {1, 2}
     # per-axis counts
     nx_faces = (nx if bcx == PERIODIC else nx + 1) * ny
     ny_faces = (ny if bcy == PERIODIC else ny + 1) * nx
@@ -134,33 +142,22 @@ def test_mesh_invariants(nx, ny, bcx, bcy):
     # area
     assert abs(mesh.num_elements * mesh.hx * mesh.hy - 4.0) < 1e-12 * 4.0
     # every interior face joins two distinct (element, side) slots
-    for f in range(mesh.num_faces):
-        le, ls = mesh.face_left[f]
-        assert mesh.elem_faces[le, ls] == f
-        re, rs = mesh.face_right[f]
-        if re >= 0:
-            assert mesh.elem_faces[re, rs] == f
-            assert (le, ls) != (re, rs)
+    for slots in _interior_pairs(mesh).values():
+        assert slots[0] != slots[1]
 
 
 def test_orientation_right_element_normal_is_negation():
-    mesh = build_structured(3, 3, BOUNDS, WALL, WALL)
-    for f in range(mesh.num_faces):
-        re, rs = mesh.face_right[f]
-        if re < 0:
-            continue
-        from swemix.mesh import SIDE_NORMALS
+    from swemix.mesh import SIDE_NORMALS
 
-        left_outward = SIDE_NORMALS[mesh.face_left[f, 1]]
-        right_outward = SIDE_NORMALS[rs]
-        assert np.allclose(left_outward + right_outward, 0.0, atol=1e-14)
-        assert np.allclose(mesh.face_normal[f], left_outward, atol=1e-14)
+    mesh = build_structured(3, 3, BOUNDS, WALL, WALL)
+    for (_, side_a), (_, side_b) in _interior_pairs(mesh).values():
+        assert np.allclose(SIDE_NORMALS[side_a] + SIDE_NORMALS[side_b], 0.0, atol=1e-14)
 
 
 def test_deterministic_rebuilds_are_byte_identical():
     a = build_structured(5, 4, (0.0, 3.0, 0.0, 2.0), PERIODIC, WALL)
     b = build_structured(5, 4, (0.0, 3.0, 0.0, 2.0), PERIODIC, WALL)
-    for name in ("elem_faces", "face_left", "face_right", "face_normal"):
+    for name in ("elem_faces", "elem_x0", "elem_y0"):
         assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
 
 
@@ -169,8 +166,10 @@ def test_tables_match_loop_builder(bcx, bcy):
     bounds = (0.0, 2.0, -1.0, 1.5)
     for nx, ny in itertools.product(range(1, 7), repeat=2):
         mesh = build_structured(nx, ny, bounds, bcx, bcy)
-        for name, want in oracles.mesh_tables_loop(nx, ny, bounds, bcx, bcy).items():
-            got = getattr(mesh, name)
+        tables = oracles.mesh_tables_loop(nx, ny, bounds, bcx, bcy)
+        assert mesh.num_faces == len(tables["face_left"]), (nx, ny)
+        for name in ("elem_faces", "elem_x0", "elem_y0"):
+            got, want = getattr(mesh, name), tables[name]
             assert (got.dtype, got.shape) == (want.dtype, want.shape), (nx, ny, name)
             assert got.tobytes() == want.tobytes(), (nx, ny, name)
 
