@@ -25,12 +25,19 @@ then one batched product for the forward pass, a scatter onto the trace,
 the trace solve, and one batched product for the back-substitution.
 
 H is symmetric and -H is positive definite for every alpha_dt > 0 and
-tau > 0.  The direct backend solves it exactly.  On a doubly periodic mesh
-H is block-circulant over cells, so the 2-D DFT block-diagonalizes it and
-a solve is an FFT, one small Hermitian negative definite block per
-wavenumber, and an inverse FFT; H itself is never assembled.  On other
-meshes H is factored with a symmetric fill-reducing ordering and diagonal
-pivots: no pivot of a definite matrix can vanish.
+tau > 0.  The direct backend solves it exactly and never assembles it: in
+a basis of per-axis modes H is block-diagonal, one small negative definite
+block per mode, so a solve is a forward transform, one batched block
+product and the synthesis.  On a doubly periodic mesh H is block-circulant
+over cells and the transform is the 2-D real FFT.  A wall axis is the even
+extension of a periodic one: phi' is even across a wall, and a face along
+the axis is mirrored with its node order reversed.  So on a mesh with a
+wall axis (wall x wall, periodic x wall, wall x periodic) the faces across
+a wall axis take a DCT-I, and the faces along it a DCT-II on the even part
+and a DST-II on the odd part of their node vectors; a periodic axis keeps
+its DFT phases.  These transforms are dense matrices applied by GEMM; the
+blocks are real on walls and Hermitian on a mixed mesh.  The gmres backend
+assembles H and iterates on it.
 """
 
 from dataclasses import dataclass
@@ -145,13 +152,17 @@ def _trace_ids(mesh, n1):
 class CondensedSystem:
     """The element operators of the forward pass and the back-substitution,
     and ``solve``, the one function that applies H^-1 for the backend chosen
-    at factorization.  ``H`` is the assembled trace matrix, or None on the
-    FFT path, which never assembles it."""
+    at set-up.  ``H`` is the assembled trace matrix on the gmres path and
+    None on the direct paths, which never assemble it.  ``stored_bytes``
+    counts the arrays the trace solve holds: the inverse mode blocks and
+    the transform matrices, the inverse FFT symbol, or H's data and index
+    arrays plus the block-Jacobi inverse."""
 
     blocks: LocalBlocks
     H: Optional[scipy.sparse.csc_matrix]
     elem_trace_ids: np.ndarray
     solve: Callable
+    stored_bytes: int
 
     def solve_trace(self, g):
         return self.solve(g)
@@ -192,13 +203,17 @@ def trace_symbol(blocks, mesh, basis):
     return P.conj().swapaxes(-1, -2) @ blocks.schur @ P
 
 
+def _inverse(modes):
+    try:
+        return np.linalg.inv(modes)
+    except np.linalg.LinAlgError as exc:
+        raise AssemblyError(f"condensed trace system is singular: {exc}") from exc
+
+
 def _fft_solve(blocks, mesh, basis):
     """H^-1 on a doubly periodic mesh: ``rfft2`` over the cells, one block
     product per wavenumber, ``irfft2``."""
-    try:
-        inv = np.linalg.inv(trace_symbol(blocks, mesh, basis))
-    except np.linalg.LinAlgError as exc:
-        raise AssemblyError(f"condensed trace system is singular: {exc}") from exc
+    inv = _inverse(trace_symbol(blocks, mesh, basis))
     n1, ny, nx = basis.n, mesh.ny, mesh.nx
     cells = (2, ny, nx, n1)
     modes = (ny, nx // 2 + 1, 2 * n1, 1)
@@ -209,74 +224,174 @@ def _fft_solve(blocks, mesh, basis):
         lam_hat = np.moveaxis(lam_hat.reshape(ny, -1, 2, n1), 2, 0)
         return np.fft.irfft2(lam_hat, s=(ny, nx), axes=(1, 2)).reshape(-1)
 
-    return solve
+    return solve, inv.nbytes
+
+
+# What an element side sees of a mode along one axis: the mode at the
+# cell's low or high face across the axis, or at the cell itself, for the
+# faces along the axis (J-even and J-odd node vectors).
+_LOW, _HIGH, _CELL = 0, 1, 2
+_X_SEES = (_CELL, _HIGH, _CELL, _LOW)  # south, east, north, west
+_Y_SEES = (_LOW, _CELL, _HIGH, _CELL)
+_SIDE_FAMILY = np.array([[0, 1], [1, 0], [0, 1], [1, 0]])  # vertical, horizontal
+
+
+def _axis_modes(n, bc):
+    """The mode functions of one axis of n cells, K modes.
+
+    Returns ``(faces, cells, absent)``.  ``faces`` (faces, K) is each mode
+    at the faces across the axis: cos(pi k i / n) at the n+1 wall-axis
+    positions, the DFT phase on a periodic axis.  ``cells`` (2, n, K) is
+    each mode at the cells, for the J-even and the J-odd part of the node
+    vector of a face along the axis: cos and sin of pi k (i + 1/2) / n on a
+    wall axis, the DFT phase for both on a periodic one.  ``absent`` (2, K)
+    marks the modes that do not exist: the sine at k = 0 and the cell
+    cosine at k = n, whose column is zeroed (it evaluates to 6e-17).
+    """
+    if bc == PERIODIC:
+        faces = np.exp(2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n)
+        return faces, np.stack([faces, faces]), np.zeros((2, n), bool)
+    k = np.arange(n + 1)
+    faces = np.cos(np.pi * np.outer(np.arange(n + 1), k) / n)
+    at_cells = np.pi * np.outer(np.arange(n) + 0.5, k) / n
+    cells = np.stack([np.cos(at_cells), np.sin(at_cells)])
+    absent = np.zeros((2, n + 1), bool)
+    absent[0, n] = absent[1, 0] = True
+    cells[0, :, n] = 0.0
+    return faces, cells, absent
+
+
+def trace_modes(blocks, mesh, basis):
+    """Blocks of H in a per-axis mode basis, for a mesh with a wall axis.
+
+    A wall axis is the even extension of a periodic one: phi' is even
+    across a wall and a face along the axis reverses its node order (J).
+    So the vertical faces take ``faces`` of :func:`_axis_modes` along x and
+    ``cells`` along y, each row of p+1 nodes split into its J-even and
+    J-odd parts, and the horizontal faces the other way round.  Mode
+    (ky, kx) couples one vector of each family, and the blocks are
+    G = Q^T (S~ * Y_ky * X_kx) Q: S~ is the element Schur complement on the
+    parity-split node vectors, X and Y the sums over cells of the products
+    of what each side sees of the mode along x and y, and Q the map of the
+    four sides onto the two families.  An absent mode gets -1 on its
+    diagonal, so every block stays negative definite.
+
+    Returns ``(G, (faces_x, cells_x), (faces_y, cells_y))``: G is
+    (Ky, Kx, 2 (p+1), 2 (p+1)), columns ordered (vertical, horizontal);
+    ``cells_*`` is (n (p+1), K (p+1)), the cell modes times the parity
+    basis, by (cell, node) and (mode, parity).
+    """
+    n1 = basis.n
+    eye, flip = np.eye(n1), np.eye(n1)[::-1]
+    half = n1 // 2
+    parity = np.hstack([(eye + flip)[:, : n1 - half], (eye - flip)[:, :half]])
+    odd = (np.arange(n1) >= n1 - half).astype(int)
+    split = np.kron(np.eye(4), parity)
+    schur = split.T @ blocks.schur @ split
+
+    axes, grams, gaps = [], [], []
+    for n, bc, sees in ((mesh.nx, mesh.bc_x, _X_SEES), (mesh.ny, mesh.bc_y, _Y_SEES)):
+        faces, cells, absent = _axis_modes(n, bc)
+        views = np.stack([faces[:n], np.roll(faces, -1, axis=0)[:n], cells[0], cells[1]])
+        gram = np.einsum("aik,bik->kab", views.conj(), views)
+        kind = np.array(sees)[:, None]
+        kind = np.where(kind == _CELL, _CELL + odd, kind).ravel()
+        grams.append(gram[:, kind[:, None], kind])
+        folded = np.einsum("mik,jm->ijkm", cells[odd], parity)
+        axes.append((faces, folded.reshape(n * n1, -1)))
+        gaps.append(absent[odd].T)
+    family = np.kron(_SIDE_FAMILY, eye)
+    G = family.T @ (schur * grams[1][:, None] * grams[0][None]) @ family
+    # the vertical family's cells run along y, the horizontal one's along x
+    missing = np.concatenate(np.broadcast_arrays(gaps[1][:, None], gaps[0][None]), axis=-1)
+    G.reshape(*G.shape[:2], -1)[:, :, :: 2 * n1 + 1][missing] = -1.0
+    return G, axes[0], axes[1]
+
+
+def _transform_solve(blocks, mesh, basis):
+    """H^-1 on a mesh with a wall axis: V (G^-1 (V^H g)) in the basis V of
+    :func:`trace_modes`, which need not be orthogonal.  Each family's
+    analysis and synthesis is two GEMMs, one per axis."""
+    G, (faces_x, cells_x), (faces_y, cells_y) = trace_modes(blocks, mesh, basis)
+    inv = _inverse(G)
+    n1, ny = basis.n, mesh.ny
+    ky, kx = G.shape[:2]
+    nfx, nfy = faces_x.shape[0], faces_y.shape[0]
+    n_vert = ny * nfx * n1
+
+    def solve(g):
+        # vertical faces are (ny, nfx, p+1), horizontal ones (nfy, nx, p+1);
+        # g is real, so V^H g = conj(V^T g)
+        vert = g[:n_vert].reshape(ny, nfx, n1).swapaxes(0, 1).reshape(nfx, -1)
+        horiz = g[n_vert:].reshape(nfy, -1)
+        hat = np.empty((ky, kx, 2, n1), G.dtype)
+        hat[:, :, 0] = (faces_x.T @ vert @ cells_y).reshape(kx, ky, n1).swapaxes(0, 1)
+        hat[:, :, 1] = (faces_y.T @ horiz @ cells_x).reshape(ky, kx, n1)
+        lam = (inv @ np.conj(hat).reshape(ky, kx, 2 * n1, 1)).reshape(ky, kx, 2, n1)
+        vert = faces_x @ lam[:, :, 0].swapaxes(0, 1).reshape(kx, -1) @ cells_y.T
+        horiz = faces_y @ lam[:, :, 1].reshape(ky, -1) @ cells_x.T
+        return np.concatenate([vert.reshape(nfx, ny, n1).swapaxes(0, 1).ravel(), horiz.ravel()]).real
+
+    held = (inv, faces_x, cells_x, faces_y, cells_y)
+    return solve, sum(a.nbytes for a in held)
 
 
 def condense_and_factor(blocks, mesh, basis, backend="direct", rel_tol=1e-10, max_iter=500):
     """Prepare the trace solve of the chosen backend.
 
-    The direct backend is exact.  On a doubly periodic mesh it solves by
-    FFT on the blocks of :func:`trace_symbol`, without assembling H.
-    Otherwise it orders H by minimum degree on its (symmetric) pattern and
-    pivots on the diagonal only, which is valid because -H is symmetric
-    positive definite; it stores about a quarter of the factor entries of a
-    column ordering with partial pivoting.  The gmres backend runs
-    restarted GMRES to ``rel_tol`` with a per-face block-Jacobi
-    preconditioner; ``max_iter`` counts restart cycles.
+    The direct backend is exact and never assembles H: it solves in a basis
+    that makes H block-diagonal, one 2 (p+1)-square block per mode.  On a
+    doubly periodic mesh that is the 2-D DFT, by ``rfft2``
+    (:func:`trace_symbol`).  On a mesh with a wall axis it is a cosine
+    transform at the faces across each wall axis and a cosine/sine
+    transform at the faces along it, split by node-order parity, with DFT
+    phases on a periodic axis (:func:`trace_modes`).  The gmres backend
+    assembles H and runs restarted GMRES to ``rel_tol`` with a per-face
+    block-Jacobi preconditioner; ``max_iter`` counts restart cycles.
     """
     if backend not in BACKENDS:
         raise InvalidArgumentError(f"unknown solver backend {backend!r}")
     ids = _trace_ids(mesh, basis.n)
-    if backend == "direct" and mesh.bc_x == PERIODIC and mesh.bc_y == PERIODIC:
-        solve = _fft_solve(blocks, mesh, basis)
-        return CondensedSystem(blocks=blocks, H=None, elem_trace_ids=ids, solve=solve)
+    if backend == "direct":
+        periodic = mesh.bc_x == PERIODIC and mesh.bc_y == PERIODIC
+        solve, stored = (_fft_solve if periodic else _transform_solve)(blocks, mesh, basis)
+        return CondensedSystem(blocks=blocks, H=None, elem_trace_ids=ids, solve=solve, stored_bytes=stored)
 
     H = trace_matrix(blocks, mesh, basis)
-    if backend == "direct":
-        try:
-            solve = scipy.sparse.linalg.splu(
-                H,
-                permc_spec="MMD_AT_PLUS_A",
-                diag_pivot_thresh=0.0,
-                options={"SymmetricMode": True},
-            ).solve
-        except RuntimeError as exc:
-            raise AssemblyError(f"condensed trace system is singular: {exc}") from exc
-    else:
-        precond = _block_jacobi(H, mesh.num_faces, basis.n)
+    num_faces, n1 = mesh.num_faces, basis.n
+    inv = _block_jacobi(H, num_faces, n1)
+    precond = scipy.sparse.linalg.LinearOperator(
+        H.shape, matvec=lambda v: np.einsum("fij,fj->fi", inv, v.reshape(num_faces, n1)).reshape(-1)
+    )
 
-        def solve(g):
-            lam, info = scipy.sparse.linalg.gmres(
-                H, g, rtol=rel_tol, atol=0.0, restart=30, maxiter=max_iter, M=precond
+    def solve(g):
+        lam, info = scipy.sparse.linalg.gmres(
+            H, g, rtol=rel_tol, atol=0.0, restart=30, maxiter=max_iter, M=precond
+        )
+        if info != 0:
+            res = np.linalg.norm(H @ lam - g) / max(np.linalg.norm(g), 1e-300)
+            raise SolverFailureError(
+                f"trace GMRES did not converge (info={info}, relative residual {res:.3e})",
+                residual=res,
+                iterations=info,
             )
-            if info != 0:
-                res = np.linalg.norm(H @ lam - g) / max(np.linalg.norm(g), 1e-300)
-                raise SolverFailureError(
-                    f"trace GMRES did not converge (info={info}, relative residual {res:.3e})",
-                    residual=res,
-                    iterations=info,
-                )
-            return lam
+        return lam
 
-    return CondensedSystem(blocks=blocks, H=H, elem_trace_ids=ids, solve=solve)
+    stored = H.data.nbytes + H.indices.nbytes + H.indptr.nbytes + inv.nbytes
+    return CondensedSystem(blocks=blocks, H=H, elem_trace_ids=ids, solve=solve, stored_bytes=stored)
 
 
 def _block_jacobi(H, num_faces, n1):
-    """Per-face block-diagonal inverse of H as a preconditioning operator."""
+    """Inverse of the per-face diagonal blocks of H, (num_faces, n1, n1)."""
     coo = H.tocoo()
     face = coo.row // n1
     on_block = face == coo.col // n1
     blocks = np.zeros((num_faces, n1, n1))
     blocks[face[on_block], coo.row[on_block] % n1, coo.col[on_block] % n1] = coo.data[on_block]
     try:
-        inv = np.linalg.inv(blocks)
+        return np.linalg.inv(blocks)
     except np.linalg.LinAlgError as exc:
         raise AssemblyError("singular face block in preconditioner") from exc
-
-    def apply(v):
-        return (inv @ v.reshape(num_faces, n1, 1)).reshape(-1)
-
-    return scipy.sparse.linalg.LinearOperator(H.shape, matvec=apply)
 
 
 def implicit_solve(system, rhs_field):

@@ -17,6 +17,7 @@ from swemix.hdg import (
     implicit_solve,
     local_matrices,
     trace_matrix,
+    trace_modes,
     trace_symbol,
 )
 from swemix.imex import step, tableau
@@ -68,11 +69,10 @@ def test_single_element_schur_matches_dense_oracle():
     basis = nodal_basis(1)
     alpha, tau = 0.07, P2.wave_speed
     blocks = assemble_local(mesh, basis, P2, alpha, tau)
-    system = condense_and_factor(blocks, mesh, basis)
     oracle = oracles.MonolithicHdg(mesh, basis, P2, alpha, tau)
     h_oracle = oracle.schur_complement()
     assert h_oracle.shape == (8, 8)
-    assert np.max(np.abs(system.H.toarray() - h_oracle)) < 1e-12
+    assert np.max(np.abs(trace_matrix(blocks, mesh, basis).toarray() - h_oracle)) < 1e-12
 
 
 def test_trace_system_size():
@@ -80,15 +80,14 @@ def test_trace_system_size():
         mesh = build_structured(nx, ny, BOUNDS, WALL, WALL)
         basis = nodal_basis(p)
         blocks = assemble_local(mesh, basis, P2, 0.02, 1.0)
-        system = condense_and_factor(blocks, mesh, basis)
-        assert system.H.shape == (mesh.num_faces * (p + 1),) * 2
+        assert trace_matrix(blocks, mesh, basis).shape == (mesh.num_faces * (p + 1),) * 2
 
 
 @pytest.mark.parametrize("bc", [WALL, PERIODIC])
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_trace_system_is_symmetric_negative_definite(p, bc):
     # the hybridized Schur complement is symmetric and -H is positive
-    # definite, the footing for a symmetric factorization of H
+    # definite, so every mode block of the direct solve is invertible
     basis = nodal_basis(p)
     for n in (1, 3):
         mesh = build_structured(n, n, BOUNDS, bc, bc)
@@ -99,25 +98,129 @@ def test_trace_system_is_symmetric_negative_definite(p, bc):
             assert np.min(np.linalg.eigvalsh(-0.5 * (H + H.T))) > 0.0
 
 
+def _assert_symmetric_negative_definite(modes, n):
+    for h in modes.reshape(-1, n, n):
+        assert np.linalg.norm(h - h.conj().T) <= 1e-13 * np.linalg.norm(h)
+        assert np.max(np.linalg.eigvalsh(h)) < 0.0
+
+
 @pytest.mark.parametrize("alpha", [1e-4, 1e-2, 1.0])
-def test_direct_backend_factors_symmetrically(alpha):
-    # -H is SPD, so the direct backend orders H symmetrically and pivots on
-    # the diagonal only: equal row and column permutations, and a fill far
-    # below the 11.4 x nnz(H) of a column ordering with partial pivoting
+def test_direct_backend_blocks_are_symmetric_negative_definite(alpha):
+    # on walls the direct backend inverts one real block per (ky, kx) mode:
+    # (16 + 1)^2 modes of the two face families' 2 (p+1) coefficients
     mesh = build_structured(16, 16, BOUNDS, WALL, WALL)
     basis = nodal_basis(3)
     blocks = assemble_local(mesh, basis, P2, alpha, P2.wave_speed)
-    system = condense_and_factor(blocks, mesh, basis)
-    lu = system.solve.__self__
-    assert np.array_equal(lu.perm_r, lu.perm_c)
-    assert lu.nnz <= 5 * system.H.nnz
+    assert condense_and_factor(blocks, mesh, basis).H is None
+    modes = trace_modes(blocks, mesh, basis)[0]
+    assert modes.shape == (17, 17, 8, 8)
+    assert modes.dtype == np.float64
+    _assert_symmetric_negative_definite(modes, 8)
+    # per wall axis and mode line, the sine at k = 0 and the cell cosine at
+    # k = n are absent: p+1 rows of -1 on the diagonal and exact zeros
+    rows = modes.reshape(-1, 8)
+    unit = np.tile(np.eye(8), (17 * 17, 1))
+    assert np.count_nonzero(np.all(rows == -unit, axis=1)) == 2 * 17 * 4
 
 
 PERIODIC_SHAPES = [(1, 1), (1, 4), (2, 3), (5, 4), (8, 8)]
+WALL_PAIRS = [(WALL, WALL), (PERIODIC, WALL), (WALL, PERIODIC)]
+ALL_PAIRS = WALL_PAIRS + [(PERIODIC, PERIODIC)]
 
 
 def _rel(a, b):
     return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("bcs", WALL_PAIRS)
+@pytest.mark.parametrize("shape, p", [(s, p) for s in PERIODIC_SHAPES for p in (1, 2, 3)] + [((5, 4), 4)])
+def test_transform_solve_matches_splu(bcs, shape, p):
+    # with a wall axis the direct backend solves by cosine/sine transforms
+    # (DFT on a periodic axis); it must agree with a sparse LU of H
+    mesh = build_structured(*shape, BOUNDS, *bcs)
+    basis = nodal_basis(p)
+    rng = np.random.default_rng(p)
+    for alpha in (1e-4, 1e-2, 1.0):
+        blocks = assemble_local(mesh, basis, P2, alpha, P2.wave_speed)
+        system = condense_and_factor(blocks, mesh, basis)
+        assert system.H is None
+        lu = scipy.sparse.linalg.splu(trace_matrix(blocks, mesh, basis))
+        g = rng.standard_normal(mesh.num_faces * basis.n)
+        assert _rel(system.solve_trace(g), lu.solve(g)) <= 1e-12, alpha
+
+
+@pytest.mark.parametrize("bcs", WALL_PAIRS)
+@pytest.mark.parametrize("shape", PERIODIC_SHAPES)
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_mode_blocks_are_symmetric_negative_definite(bcs, shape, p):
+    # real symmetric on walls, Hermitian where an axis is periodic; the
+    # absent modes (the sine at k = 0, the cell cosine at k = n) hold -1
+    mesh = build_structured(*shape, BOUNDS, *bcs)
+    basis = nodal_basis(p)
+    for alpha in (1e-4, 1e-2, 1.0):
+        blocks = assemble_local(mesh, basis, P2, alpha, P2.wave_speed)
+        modes = trace_modes(blocks, mesh, basis)[0]
+        assert np.iscomplexobj(modes) == (PERIODIC in bcs)
+        _assert_symmetric_negative_definite(modes, 2 * basis.n)
+
+
+@pytest.mark.parametrize("bcs", WALL_PAIRS)
+def test_transform_solve_is_bitwise_repeatable(bcs):
+    mesh = build_structured(5, 4, BOUNDS, *bcs)
+    basis = nodal_basis(2)
+    blocks = assemble_local(mesh, basis, P2, 0.03, P2.wave_speed)
+    system = condense_and_factor(blocks, mesh, basis)
+    again = condense_and_factor(blocks, mesh, basis)
+    g = np.random.default_rng(5).standard_normal(mesh.num_faces * basis.n)
+    first = system.solve_trace(g)
+    assert np.array_equal(first, system.solve_trace(g))
+    assert np.array_equal(first, again.solve_trace(g))
+
+
+def test_direct_backend_calls_no_sparse_factorization(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sparse factorization called")
+
+    for name in ("splu", "spilu", "factorized", "spsolve"):
+        monkeypatch.setattr(scipy.sparse.linalg, name, refuse)
+    basis = nodal_basis(2)
+    for bcs in ALL_PAIRS:
+        mesh = build_structured(3, 2, BOUNDS, *bcs)
+        bank = ImplicitSolverBank(mesh, basis, P2)
+        q, _ = bank.solve(0.05, _rand_field(mesh, basis))
+        assert np.all(np.isfinite(q.data)), bcs
+
+
+def test_stored_bytes_of_the_transform_path():
+    mesh = build_structured(5, 4, BOUNDS, WALL, PERIODIC)
+    basis = nodal_basis(2)
+    blocks = assemble_local(mesh, basis, P2, 0.05, 1.0)
+    modes, (faces_x, cells_x), (faces_y, cells_y) = trace_modes(blocks, mesh, basis)
+    held = modes.nbytes + faces_x.nbytes + cells_x.nbytes + faces_y.nbytes + cells_y.nbytes
+    # x: 6 wall-axis positions by 6 real modes, 5 cells x 3 nodes by 6 x 3;
+    # y: 4 periodic faces by 4 complex modes, 4 x 3 by 4 x 3; 24 complex 6 x 6 blocks
+    assert held == 8 * (36 + 15 * 18) + 16 * (16 + 12 * 12 + 24 * 36)
+    assert condense_and_factor(blocks, mesh, basis).stored_bytes == held
+
+
+def test_stored_bytes_of_the_fft_path():
+    mesh = build_structured(5, 4, BOUNDS, PERIODIC, PERIODIC)
+    basis = nodal_basis(2)
+    blocks = assemble_local(mesh, basis, P2, 0.05, 1.0)
+    # the inverse symbol: 4 x (5 // 2 + 1) complex 6 x 6 blocks
+    assert condense_and_factor(blocks, mesh, basis).stored_bytes == 16 * 4 * 3 * 36
+
+
+def test_stored_bytes_of_the_gmres_path():
+    mesh = build_structured(5, 4, BOUNDS, WALL, WALL)
+    basis = nodal_basis(2)
+    blocks = assemble_local(mesh, basis, P2, 0.05, 1.0)
+    system = condense_and_factor(blocks, mesh, basis, backend="gmres")
+    H = system.H
+    assert H.shape == (49 * 3,) * 2
+    # H's values and index arrays, and one 3 x 3 inverse per face
+    expected = H.data.nbytes + H.indices.nbytes + H.indptr.nbytes + 8 * 49 * 9
+    assert system.stored_bytes == expected
 
 
 @pytest.mark.parametrize("shape", PERIODIC_SHAPES)
@@ -152,27 +255,25 @@ def test_trace_symbol_blocks_are_hermitian_negative_definite(shape, p):
 
 
 def test_trace_path_follows_boundary_kinds():
-    # only a doubly periodic mesh with the direct backend skips assembling H
+    # the direct backend never assembles H, on any boundary pair; gmres
+    # always does
     basis = nodal_basis(1)
-    for bcs, backend, assembled in (
-        ((PERIODIC, PERIODIC), "direct", False),
-        ((PERIODIC, WALL), "direct", True),
-        ((WALL, PERIODIC), "direct", True),
-        ((PERIODIC, PERIODIC), "gmres", True),
-    ):
+    for bcs in ALL_PAIRS:
         mesh = build_structured(3, 2, BOUNDS, *bcs)
         blocks = assemble_local(mesh, basis, P2, 0.05, 1.0)
-        system = condense_and_factor(blocks, mesh, basis, backend=backend)
-        assert (system.H is not None) == assembled, (bcs, backend)
+        for backend, assembled in (("direct", False), ("gmres", True)):
+            system = condense_and_factor(blocks, mesh, basis, backend=backend)
+            assert (system.H is not None) == assembled, (bcs, backend)
 
 
 def test_singular_symbol_raises_assembly_error():
-    mesh = build_structured(2, 2, BOUNDS, PERIODIC, PERIODIC)
     basis = nodal_basis(1)
-    blocks = assemble_local(mesh, basis, P2, 0.05, 1.0)
-    singular = LocalBlocks(blocks.forward, blocks.A_inv_B, np.zeros_like(blocks.schur))
-    with pytest.raises(AssemblyError, match="singular"):
-        condense_and_factor(singular, mesh, basis)
+    for bcs in ALL_PAIRS:
+        mesh = build_structured(2, 2, BOUNDS, *bcs)
+        blocks = assemble_local(mesh, basis, P2, 0.05, 1.0)
+        singular = LocalBlocks(blocks.forward, blocks.A_inv_B, np.zeros_like(blocks.schur))
+        with pytest.raises(AssemblyError, match="singular"):
+            condense_and_factor(singular, mesh, basis)
 
 
 def test_unknown_backend_rejected():
@@ -189,8 +290,7 @@ def test_trace_system_sparsity_is_symmetric():
     mesh = build_structured(4, 3, BOUNDS, PERIODIC, WALL)
     basis = nodal_basis(2)
     blocks = assemble_local(mesh, basis, P2, 0.04, 1.0)
-    system = condense_and_factor(blocks, mesh, basis)
-    pattern = (system.H.toarray() != 0.0)
+    pattern = (trace_matrix(blocks, mesh, basis).toarray() != 0.0)
     assert np.array_equal(pattern, pattern.T)
 
 
@@ -230,7 +330,7 @@ def test_solve_satisfies_local_and_transmission_equations():
     lam_loc = lam.data.reshape(-1)[system.elem_trace_ids]
     local = q_flat @ A.T + lam_loc @ B.T - r_flat * mass3
     assert np.max(np.abs(local)) < 1e-10 * max(1.0, np.max(np.abs(r_flat)))
-    trans = np.zeros(system.H.shape[0])
+    trans = np.zeros(mesh.num_faces * basis.n)
     np.add.at(trans, system.elem_trace_ids, q_flat @ C.T + lam_loc @ D.T)
     assert np.max(np.abs(trans)) < 1e-10
 
