@@ -47,9 +47,11 @@ class _SpatialTrig:
         return self.value
 
 
-def lake_at_rest(params=None):
+def lake_at_rest(params=None, amplitude=None):
     """Zero perturbation, zero momentum; exactly steady for any rotation and
-    drag."""
+    drag.  The state has no amplitude, so setting one is an error."""
+    if amplitude is not None:
+        raise InvalidArgumentError(f"lake_at_rest takes no amplitude, got {amplitude}")
     params = params or ModelParams(phi_bar=1.0)
 
     def initial(x, y):
@@ -249,8 +251,6 @@ def make_case(name, params=None, amplitude=None):
         raise InvalidArgumentError(
             f"unknown case {name!r}; available: {', '.join(case_names())}"
         ) from None
-    if name == "lake_at_rest":
-        return builder(params)
     return builder(params, amplitude)
 
 

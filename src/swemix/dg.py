@@ -58,9 +58,6 @@ class StateField:
     mesh: object
     basis: object
 
-    def copy(self):
-        return StateField(self.data.copy(), self.mesh, self.basis)
-
     def zeros_like(self):
         return StateField(np.zeros_like(self.data), self.mesh, self.basis)
 

@@ -163,6 +163,21 @@ class RunResult:
     vtk_paths: list
 
 
+def _step(pair, q, k, dt, tab):
+    """Step k + 1, from t = k dt; a solver failure or a dry state raised by
+    it names the step and the time it was to reach."""
+    try:
+        return imex.step(pair, q, k * dt, dt, tab)
+    except SolverFailureError as exc:
+        raise SolverFailureError(
+            f"step {k + 1} (t = {(k + 1) * dt:.6g}): {exc}",
+            residual=exc.residual,
+            iterations=exc.iterations,
+        ) from exc
+    except DryStateError as exc:
+        raise DryStateError(f"step {k + 1} (t = {(k + 1) * dt:.6g}): {exc}", element=exc.element) from exc
+
+
 def run(cfg, quiet=False):
     """Time-march the configured case, writing CSV/VTK artifacts."""
     sim = build_simulation(cfg)
@@ -195,16 +210,7 @@ def run(cfg, quiet=False):
     record(0, 0.0, q)
     t = 0.0
     for k in range(n_steps):
-        try:
-            q = imex.step(pair, q, t, dt, sim.tab)
-        except SolverFailureError as exc:
-            raise SolverFailureError(
-                f"step {k + 1} (t = {(k + 1) * dt:.6g}): {exc}",
-                residual=exc.residual,
-                iterations=exc.iterations,
-            ) from exc
-        except DryStateError as exc:
-            raise DryStateError(f"step {k + 1} (t = {(k + 1) * dt:.6g}): {exc}", element=exc.element) from exc
+        q = _step(pair, q, k, dt, sim.tab)
         t = (k + 1) * dt
         record(k + 1, t, q)
 
@@ -354,14 +360,14 @@ def stability_study(
     initial_max = float(np.max(np.abs(q0.phi_prime)))
 
     pair = sim.operator()
-    q = q0.copy()
+    q = q0
     imex_max = initial_max
     for k in range(n_steps):
-        q = imex.step(pair, q, k * dt, dt, sim.tab)
+        q = _step(pair, q, k, dt, sim.tab)
         imex_max = max(imex_max, float(np.max(np.abs(q.phi_prime))))
 
     control = sim.operator(explicit_control=True)
-    q = q0.copy()
+    q = q0
     explicit_max = initial_max
     survived = 0
     blowup_cap = 1e6 * initial_max

@@ -28,16 +28,13 @@ H is symmetric and -H is positive definite for every alpha_dt > 0 and
 tau > 0.  The direct backend solves it exactly and never assembles it: in
 a basis of per-axis modes H is block-diagonal, one small negative definite
 block per mode, so a solve is a forward transform, one batched block
-product and the synthesis.  On a doubly periodic mesh H is block-circulant
-over cells and the transform is the 2-D real FFT.  A wall axis is the even
-extension of a periodic one: phi' is even across a wall, and a face along
-the axis is mirrored with its node order reversed.  So on a mesh with a
-wall axis (wall x wall, periodic x wall, wall x periodic) the faces across
-a wall axis take a DCT-I, and the faces along it a DCT-II on the even part
-and a DST-II on the odd part of their node vectors; a periodic axis keeps
-its DFT phases.  These transforms are dense matrices applied by GEMM; the
-blocks are real on walls and Hermitian on a mixed mesh.  The gmres backend
-assembles H and iterates on it.
+product and the synthesis.  A periodic axis takes the DFT, applied by
+``np.fft``.  A wall axis is the even extension of a periodic one: phi' is
+even across a wall, and a face along the axis is mirrored with its node
+order reversed.  So the faces across a wall axis take a DCT-I, and the
+faces along it a DCT-II on the even part and a DST-II on the odd part of
+their node vectors, applied by GEMM.  The one solve covers all four
+boundary pairs.  The gmres backend assembles H and iterates on it.
 """
 
 from dataclasses import dataclass
@@ -153,10 +150,10 @@ class CondensedSystem:
     """The element operators of the forward pass and the back-substitution,
     and ``solve``, the one function that applies H^-1 for the backend chosen
     at set-up.  ``H`` is the assembled trace matrix on the gmres path and
-    None on the direct paths, which never assemble it.  ``stored_bytes``
+    None on the direct path, which never assembles it.  ``stored_bytes``
     counts the arrays the trace solve holds: the inverse mode blocks and
-    the transform matrices, the inverse FFT symbol, or H's data and index
-    arrays plus the block-Jacobi inverse."""
+    the wall-axis transform matrices (a periodic axis holds none), or H's
+    data and index arrays plus the block-Jacobi inverse."""
 
     blocks: LocalBlocks
     H: Optional[scipy.sparse.csc_matrix]
@@ -180,181 +177,176 @@ def trace_matrix(blocks, mesh, basis):
     return scipy.sparse.coo_matrix((data, (rows, cols)), shape=(ndof, ndof)).tocsc()
 
 
-def trace_symbol(blocks, mesh, basis):
-    """Blocks of H on a doubly periodic mesh, one per ``rfft2`` wavenumber.
-
-    Cell (jy, ix) owns its west face (vertical face jy nx + ix) and its
-    south face (horizontal face nx ny + jy nx + ix), so the trace vector is
-    a (2, ny, nx, p+1) array over cells.  The element sides read south and
-    west of their own cell, west of the east neighbour and south of the
-    north neighbour; with P(k) the (4 (p+1), 2 (p+1)) matrix of those
-    phases, the symbol is P(k)^H S P(k).  Returns (ny, nx//2 + 1, 2 (p+1),
-    2 (p+1)), columns ordered (west, south).
-    """
-    n1 = basis.n
-    east = np.exp(2j * np.pi * np.arange(mesh.nx // 2 + 1) / mesh.nx)[None, :, None, None]
-    north = np.exp(2j * np.pi * np.arange(mesh.ny) / mesh.ny)[:, None, None, None]
-    eye = np.eye(n1)
-    P = np.zeros((mesh.ny, mesh.nx // 2 + 1, 4 * n1, 2 * n1), dtype=complex)
-    P[:, :, :n1, n1:] = eye  # south
-    P[:, :, n1 : 2 * n1, :n1] = east * eye  # east
-    P[:, :, 2 * n1 : 3 * n1, n1:] = north * eye  # north
-    P[:, :, 3 * n1 :, :n1] = eye  # west
-    return P.conj().swapaxes(-1, -2) @ blocks.schur @ P
-
-
-def _inverse(modes):
-    try:
-        return np.linalg.inv(modes)
-    except np.linalg.LinAlgError as exc:
-        raise AssemblyError(f"condensed trace system is singular: {exc}") from exc
-
-
-def _fft_solve(blocks, mesh, basis):
-    """H^-1 on a doubly periodic mesh: ``rfft2`` over the cells, one block
-    product per wavenumber, ``irfft2``."""
-    inv = _inverse(trace_symbol(blocks, mesh, basis))
-    n1, ny, nx = basis.n, mesh.ny, mesh.nx
-    cells = (2, ny, nx, n1)
-    modes = (ny, nx // 2 + 1, 2 * n1, 1)
-
-    def solve(g):
-        g_hat = np.fft.rfft2(g.reshape(cells), axes=(1, 2))
-        lam_hat = inv @ np.moveaxis(g_hat, 0, 2).reshape(modes)
-        lam_hat = np.moveaxis(lam_hat.reshape(ny, -1, 2, n1), 2, 0)
-        return np.fft.irfft2(lam_hat, s=(ny, nx), axes=(1, 2)).reshape(-1)
-
-    return solve, inv.nbytes
-
-
 # What an element side sees of a mode along one axis: the mode at the
 # cell's low or high face across the axis, or at the cell itself, for the
-# faces along the axis (J-even and J-odd node vectors).
+# faces along the axis (one view per node of the parity basis, from _CELL).
 _LOW, _HIGH, _CELL = 0, 1, 2
 _X_SEES = (_CELL, _HIGH, _CELL, _LOW)  # south, east, north, west
 _Y_SEES = (_LOW, _CELL, _HIGH, _CELL)
-_SIDE_FAMILY = np.array([[0, 1], [1, 0], [0, 1], [1, 0]])  # vertical, horizontal
 
 
-def _axis_modes(n, bc):
-    """The mode functions of one axis of n cells, K modes.
+@dataclass
+class _Axis:
+    """One axis of n cells in the mode basis of the direct solve.
 
-    Returns ``(faces, cells, absent)``.  ``faces`` (faces, K) is each mode
-    at the faces across the axis: cos(pi k i / n) at the n+1 wall-axis
-    positions, the DFT phase on a periodic axis.  ``cells`` (2, n, K) is
-    each mode at the cells, for the J-even and the J-odd part of the node
-    vector of a face along the axis: cos and sin of pi k (i + 1/2) / n on a
-    wall axis, the DFT phase for both on a periodic one.  ``absent`` (2, K)
-    marks the modes that do not exist: the sine at k = 0 and the cell
-    cosine at k = n, whose column is zeroed (it evaluates to 6e-17).
+    A wall axis holds its mode matrices and applies them by GEMM: ``faces``
+    (n+1, n+1), cos(pi k i / n) at the faces across it, and ``cells``
+    (n (p+1), (n+1) (p+1)), cos and sin of pi k (i + 1/2) / n on the J-even
+    and J-odd node vectors of the faces along it.  A periodic axis holds
+    none and is applied by ``np.fft``, keeping only the ``rfft``
+    wavenumbers k <= n/2 when ``half`` is set.  A face family is passed as
+    a 2-D array: ``axis`` 0 runs over the faces across this axis, ``axis``
+    1 over the cells along it, p+1 nodes each.
     """
-    if bc == PERIODIC:
-        faces = np.exp(2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n)
-        return faces, np.stack([faces, faces]), np.zeros((2, n), bool)
-    k = np.arange(n + 1)
-    faces = np.cos(np.pi * np.outer(np.arange(n + 1), k) / n)
-    at_cells = np.pi * np.outer(np.arange(n) + 0.5, k) / n
-    cells = np.stack([np.cos(at_cells), np.sin(at_cells)])
-    absent = np.zeros((2, n + 1), bool)
-    absent[0, n] = absent[1, 0] = True
-    cells[0, :, n] = 0.0
-    return faces, cells, absent
+
+    n: int
+    n1: int
+    half: bool
+    faces: Optional[np.ndarray] = None
+    cells: Optional[np.ndarray] = None
+
+    @classmethod
+    def build(cls, n, bc, half, n1):
+        """The axis and what the blocks need of it: ``(axis, gram, parity,
+        absent)``.
+
+        ``parity`` (p+1, p+1) is the node basis of a face along the axis:
+        J-even then J-odd vectors on a wall axis, the identity on a
+        periodic one.  ``gram`` (K, p+3, p+3) sums over the cells the
+        products of what a cell sees of two modes: its low face, its high
+        face, and the cell at each parity node.  ``absent`` (K, p+1) marks
+        the modes that do not exist, by index: on a wall axis the sine at
+        k = 0 and the cell cosine at k = n, whose column is zeroed (it
+        evaluates to 6e-17).
+        """
+        if bc == PERIODIC:
+            k = np.arange(n // 2 + 1 if half else n)
+            faces = np.exp(2j * np.pi * np.outer(np.arange(n), k) / n)
+            cells = np.broadcast_to(faces, (n1,) + faces.shape)
+            parity, absent = np.eye(n1), np.zeros((k.size, n1), bool)
+            axis = cls(n, n1, half)
+        else:
+            k = np.arange(n + 1)
+            faces = np.cos(np.pi * np.outer(k, k) / n)
+            at_cells = np.pi * np.outer(np.arange(n) + 0.5, k) / n
+            eye, flip, odd = np.eye(n1), np.eye(n1)[::-1], n1 // 2
+            parity = np.hstack([(eye + flip)[:, : n1 - odd], (eye - flip)[:, :odd]])
+            cells = np.array([np.cos(at_cells)] * (n1 - odd) + [np.sin(at_cells)] * odd)
+            cells[: n1 - odd, :, n] = 0.0
+            absent = np.zeros((n + 1, n1), bool)
+            absent[n, : n1 - odd] = absent[0, n1 - odd :] = True
+            folded = np.einsum("mik,jm->ijkm", cells, parity).reshape(n * n1, -1)
+            axis = cls(n, n1, half, faces, folded)
+        views = np.concatenate([[faces[:n], np.roll(faces, -1, axis=0)[:n]], cells])
+        return axis, np.einsum("aik,bik->kab", views.conj(), views), parity, absent
+
+    def analyse(self, a, axis):
+        """V^H along ``axis``; x goes first, so a half spectrum sees real data."""
+        if self.faces is not None:
+            return self.faces.T @ a if axis == 0 else a @ self.cells
+        out = (np.fft.rfft if self.half else np.fft.fft)(a.reshape(len(a), -1, self.n1), axis=axis)
+        return out.reshape(len(out), -1)
+
+    def synthesise(self, a, axis):
+        """V along ``axis``; y goes first, so a half spectrum ends real."""
+        if self.faces is not None:
+            return self.faces @ a if axis == 0 else a @ self.cells.T
+        a = a.reshape(len(a), -1, self.n1)
+        if self.half:
+            out = np.fft.irfft(a, self.n, axis=axis, norm="forward")
+        else:
+            out = np.fft.ifft(a, axis=axis, norm="forward")
+        return out.reshape(len(out), -1)
 
 
 def trace_modes(blocks, mesh, basis):
-    """Blocks of H in a per-axis mode basis, for a mesh with a wall axis.
+    """Blocks of H in the per-axis modes of :class:`_Axis`, one 2 (p+1)
+    block per mode (ky, kx), which couples one vector of each face family.
 
-    A wall axis is the even extension of a periodic one: phi' is even
-    across a wall and a face along the axis reverses its node order (J).
-    So the vertical faces take ``faces`` of :func:`_axis_modes` along x and
-    ``cells`` along y, each row of p+1 nodes split into its J-even and
-    J-odd parts, and the horizontal faces the other way round.  Mode
-    (ky, kx) couples one vector of each family, and the blocks are
-    G = Q^T (S~ * Y_ky * X_kx) Q: S~ is the element Schur complement on the
-    parity-split node vectors, X and Y the sums over cells of the products
-    of what each side sees of the mode along x and y, and Q the map of the
-    four sides onto the two families.  An absent mode gets -1 on its
-    diagonal, so every block stays negative definite.
+    The block sums the family's side blocks of S~ * Y_ky * X_kx, with S~ the
+    element Schur complement on the parity-split node vectors and X, Y the
+    Gram sums of :meth:`_Axis.build`.  The x axis keeps only the ``rfft``
+    wavenumbers when it is periodic, and so does the y axis when x is a
+    wall.  An absent mode gets -1 on its diagonal, so every block stays
+    negative definite.  The blocks are real on walls, Hermitian otherwise.
 
-    Returns ``(G, (faces_x, cells_x), (faces_y, cells_y))``: G is
-    (Ky, Kx, 2 (p+1), 2 (p+1)), columns ordered (vertical, horizontal);
-    ``cells_*`` is (n (p+1), K (p+1)), the cell modes times the parity
-    basis, by (cell, node) and (mode, parity).
+    Returns ``(G, x, y)``: G is (Ky, Kx, 2 (p+1), 2 (p+1)), columns ordered
+    (horizontal, vertical); x and y are the :class:`_Axis` of each axis.
     """
     n1 = basis.n
-    eye, flip = np.eye(n1), np.eye(n1)[::-1]
-    half = n1 // 2
-    parity = np.hstack([(eye + flip)[:, : n1 - half], (eye - flip)[:, :half]])
-    odd = (np.arange(n1) >= n1 - half).astype(int)
-    split = np.kron(np.eye(4), parity)
+    x, gram_x, px, gaps_x = _Axis.build(mesh.nx, mesh.bc_x, True, n1)
+    y, gram_y, py, gaps_y = _Axis.build(mesh.ny, mesh.bc_y, mesh.bc_x != PERIODIC, n1)
+    split = scipy.linalg.block_diag(px, py, px, py)  # south, east, north, west
     schur = split.T @ blocks.schur @ split
 
-    axes, grams, gaps = [], [], []
-    for n, bc, sees in ((mesh.nx, mesh.bc_x, _X_SEES), (mesh.ny, mesh.bc_y, _Y_SEES)):
-        faces, cells, absent = _axis_modes(n, bc)
-        views = np.stack([faces[:n], np.roll(faces, -1, axis=0)[:n], cells[0], cells[1]])
-        gram = np.einsum("aik,bik->kab", views.conj(), views)
+    def sums(gram, sees):
         kind = np.array(sees)[:, None]
-        kind = np.where(kind == _CELL, _CELL + odd, kind).ravel()
-        grams.append(gram[:, kind[:, None], kind])
-        folded = np.einsum("mik,jm->ijkm", cells[odd], parity)
-        axes.append((faces, folded.reshape(n * n1, -1)))
-        gaps.append(absent[odd].T)
-    family = np.kron(_SIDE_FAMILY, eye)
-    G = family.T @ (schur * grams[1][:, None] * grams[0][None]) @ family
-    # the vertical family's cells run along y, the horizontal one's along x
-    missing = np.concatenate(np.broadcast_arrays(gaps[1][:, None], gaps[0][None]), axis=-1)
-    G.reshape(*G.shape[:2], -1)[:, :, :: 2 * n1 + 1][missing] = -1.0
-    return G, axes[0], axes[1]
+        kind = np.where(kind == _CELL, _CELL + np.arange(n1), kind).ravel()
+        return gram[:, kind[:, None], kind]
+
+    def pairs(a):
+        """(K, 4 (p+1), 4 (p+1)) by (side, node) to (2 (p+1), 2 (p+1), K, 4)
+        by (family, node): side s is member s // 2 of family s % 2, south
+        and north horizontal, east and west vertical; member pairs last."""
+        a = a.reshape(len(a), 2, 2 * n1, 2, 2 * n1)
+        return a.transpose(2, 4, 0, 1, 3).reshape(2 * n1, 2 * n1, len(a), 4)
+
+    # each family block of S~ * Y_ky * X_kx sums its member pairs: one
+    # (Ky, 4) by (4, Kx) product per node pair
+    G = pairs(schur * sums(gram_y, _Y_SEES)) @ pairs(sums(gram_x, _X_SEES)).swapaxes(-1, -2)
+    G = G.transpose(2, 3, 0, 1)
+    # the horizontal family's cells run along x, the vertical one's along y
+    missing = np.concatenate(np.broadcast_arrays(gaps_x[None], gaps_y[:, None]), axis=-1)
+    at_ky, at_kx, node = np.nonzero(missing)
+    G[at_ky, at_kx, node, node] = -1.0
+    return G, x, y
 
 
-def _transform_solve(blocks, mesh, basis):
-    """H^-1 on a mesh with a wall axis: V (G^-1 (V^H g)) in the basis V of
-    :func:`trace_modes`, which need not be orthogonal.  Each family's
-    analysis and synthesis is two GEMMs, one per axis."""
-    G, (faces_x, cells_x), (faces_y, cells_y) = trace_modes(blocks, mesh, basis)
-    inv = _inverse(G)
-    n1, ny = basis.n, mesh.ny
-    ky, kx = G.shape[:2]
-    nfx, nfy = faces_x.shape[0], faces_y.shape[0]
+def _mode_solve(blocks, mesh, basis):
+    """H^-1 = V G^-1 V^H in the basis V of :func:`trace_modes`, which need
+    not be orthogonal.  Each family's analysis and synthesis applies one
+    axis after the other.  Returns the solve and the bytes it holds."""
+    G, x, y = trace_modes(blocks, mesh, basis)
+    try:
+        inv = np.linalg.inv(G)
+    except np.linalg.LinAlgError as exc:
+        raise AssemblyError(f"condensed trace system is singular: {exc}") from exc
+    n1, nx, ny = basis.n, mesh.nx, mesh.ny
+    ky, kx = inv.shape[:2]
+    nfx = nx if mesh.bc_x == PERIODIC else nx + 1
     n_vert = ny * nfx * n1
 
     def solve(g):
-        # vertical faces are (ny, nfx, p+1), horizontal ones (nfy, nx, p+1);
-        # g is real, so V^H g = conj(V^T g)
+        # vertical faces as (nfx, ny (p+1)), horizontal ones as (nfy, nx (p+1))
         vert = g[:n_vert].reshape(ny, nfx, n1).swapaxes(0, 1).reshape(nfx, -1)
-        horiz = g[n_vert:].reshape(nfy, -1)
-        hat = np.empty((ky, kx, 2, n1), G.dtype)
-        hat[:, :, 0] = (faces_x.T @ vert @ cells_y).reshape(kx, ky, n1).swapaxes(0, 1)
-        hat[:, :, 1] = (faces_y.T @ horiz @ cells_x).reshape(ky, kx, n1)
-        lam = (inv @ np.conj(hat).reshape(ky, kx, 2 * n1, 1)).reshape(ky, kx, 2, n1)
-        vert = faces_x @ lam[:, :, 0].swapaxes(0, 1).reshape(kx, -1) @ cells_y.T
-        horiz = faces_y @ lam[:, :, 1].reshape(ky, -1) @ cells_x.T
-        return np.concatenate([vert.reshape(nfx, ny, n1).swapaxes(0, 1).ravel(), horiz.ravel()]).real
+        horiz = g[n_vert:].reshape(-1, nx * n1)
+        hat = np.empty((ky, kx, 2, n1), inv.dtype)
+        hat[:, :, 0] = y.analyse(x.analyse(horiz, 1), 0).reshape(ky, kx, n1)
+        hat[:, :, 1] = y.analyse(x.analyse(vert, 0), 1).reshape(kx, ky, n1).swapaxes(0, 1)
+        lam = (inv @ hat.reshape(ky, kx, 2 * n1, 1)).reshape(ky, kx, 2, n1)
+        horiz = x.synthesise(y.synthesise(lam[:, :, 0].reshape(ky, -1), 0), 1)
+        vert = x.synthesise(y.synthesise(lam[:, :, 1].swapaxes(0, 1).reshape(kx, -1), 1), 0)
+        return np.concatenate([vert.reshape(nfx, ny, n1).swapaxes(0, 1).ravel(), horiz.ravel()])
 
-    held = (inv, faces_x, cells_x, faces_y, cells_y)
-    return solve, sum(a.nbytes for a in held)
+    held = [a for axis in (x, y) for a in (axis.faces, axis.cells) if a is not None]
+    return solve, inv.nbytes + sum(a.nbytes for a in held)
 
 
 def condense_and_factor(blocks, mesh, basis, backend="direct", rel_tol=1e-10, max_iter=500):
     """Prepare the trace solve of the chosen backend.
 
     The direct backend is exact and never assembles H: it solves in a basis
-    that makes H block-diagonal, one 2 (p+1)-square block per mode.  On a
-    doubly periodic mesh that is the 2-D DFT, by ``rfft2``
-    (:func:`trace_symbol`).  On a mesh with a wall axis it is a cosine
-    transform at the faces across each wall axis and a cosine/sine
-    transform at the faces along it, split by node-order parity, with DFT
-    phases on a periodic axis (:func:`trace_modes`).  The gmres backend
-    assembles H and runs restarted GMRES to ``rel_tol`` with a per-face
-    block-Jacobi preconditioner; ``max_iter`` counts restart cycles.
+    that makes H block-diagonal, one 2 (p+1)-square block per mode
+    (:func:`trace_modes`), by ``np.fft`` along a periodic axis and by
+    cosine/sine GEMMs along a wall axis.  The gmres backend assembles H and
+    runs restarted GMRES to ``rel_tol`` with a per-face block-Jacobi
+    preconditioner; ``max_iter`` counts restart cycles.
     """
     if backend not in BACKENDS:
         raise InvalidArgumentError(f"unknown solver backend {backend!r}")
     ids = _trace_ids(mesh, basis.n)
     if backend == "direct":
-        periodic = mesh.bc_x == PERIODIC and mesh.bc_y == PERIODIC
-        solve, stored = (_fft_solve if periodic else _transform_solve)(blocks, mesh, basis)
+        solve, stored = _mode_solve(blocks, mesh, basis)
         return CondensedSystem(blocks=blocks, H=None, elem_trace_ids=ids, solve=solve, stored_bytes=stored)
 
     H = trace_matrix(blocks, mesh, basis)

@@ -15,9 +15,7 @@ and the two end faces belong to one element only.  Vertical faces come
 first (by y-row, then x-line), then horizontal faces (by y-line, then
 x-column).  ``elem_faces`` maps each element side to its face.  So on a
 doubly periodic mesh each cell owns its west and south faces,
-``elem_faces[e, WEST] == e`` and ``elem_faces[e, SOUTH] == nelem + e``: the
-(2, ny, nx) layout that the FFT trace solve in :mod:`swemix.hdg` reshapes
-the trace into.
+``elem_faces[e, WEST] == e`` and ``elem_faces[e, SOUTH] == nelem + e``.
 """
 
 from dataclasses import dataclass

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from swemix import imex
+from swemix import hdg, imex
 from swemix.basis import nodal_basis
 from swemix.cases import l2_error
 from swemix.config import CaseConfig, Config, parse_text
@@ -16,6 +16,7 @@ from swemix.driver import (
     energy_proxy,
     explicit_gravity_dt,
     run,
+    stability_study,
     total_mass,
 )
 from swemix.errors import DryStateError, InvalidArgumentError, InvalidValueError, SolverFailureError
@@ -73,6 +74,24 @@ def test_solver_failure_names_the_step(tmp_path):
     assert isinstance(stage_error, SolverFailureError)
     assert err.value.residual is not None and err.value.iterations is not None
     assert (err.value.residual, err.value.iterations) == (stage_error.residual, stage_error.iterations)
+
+
+def test_stability_study_names_the_failing_step(monkeypatch):
+    # ars222 takes two implicit solves a step (stages 1 and 2), so the fifth
+    # fails stage 1 of step 3; dt is 20 h / ((p+1)^2 c) = 2.5 on 2 x 2, p = 1
+    solve, calls = hdg.implicit_solve, []
+
+    def fail_on_the_fifth(system, rhs):
+        calls.append(None)
+        if len(calls) == 5:
+            raise SolverFailureError("trace solve failed", residual=1.0, iterations=7)
+        return solve(system, rhs)
+
+    monkeypatch.setattr(hdg, "implicit_solve", fail_on_the_fifth)
+    with pytest.raises(SolverFailureError) as err:
+        stability_study(nx=2, order=1, n_steps=4, quiet=True)
+    assert str(err.value) == "step 3 (t = 7.5): stage 1 of ars222: trace solve failed"
+    assert (err.value.residual, err.value.iterations) == (1.0, 7)
 
 
 # Half-unit steps on a coarse p = 6 mesh drive the manufactured flow dry

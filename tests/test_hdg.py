@@ -18,7 +18,6 @@ from swemix.hdg import (
     local_matrices,
     trace_matrix,
     trace_modes,
-    trace_symbol,
 )
 from swemix.imex import step, tableau
 from swemix.mesh import PERIODIC, WALL, build_structured
@@ -132,11 +131,11 @@ def _rel(a, b):
     return np.max(np.abs(a - b)) / np.max(np.abs(b))
 
 
-@pytest.mark.parametrize("bcs", WALL_PAIRS)
+@pytest.mark.parametrize("bcs", ALL_PAIRS)
 @pytest.mark.parametrize("shape, p", [(s, p) for s in PERIODIC_SHAPES for p in (1, 2, 3)] + [((5, 4), 4)])
 def test_transform_solve_matches_splu(bcs, shape, p):
-    # with a wall axis the direct backend solves by cosine/sine transforms
-    # (DFT on a periodic axis); it must agree with a sparse LU of H
+    # the direct backend solves by FFT along periodic axes and cosine/sine
+    # transforms along wall axes; it must agree with a sparse LU of H
     mesh = build_structured(*shape, BOUNDS, *bcs)
     basis = nodal_basis(p)
     rng = np.random.default_rng(p)
@@ -149,22 +148,28 @@ def test_transform_solve_matches_splu(bcs, shape, p):
         assert _rel(system.solve_trace(g), lu.solve(g)) <= 1e-12, alpha
 
 
-@pytest.mark.parametrize("bcs", WALL_PAIRS)
+@pytest.mark.parametrize("bcs", ALL_PAIRS)
 @pytest.mark.parametrize("shape", PERIODIC_SHAPES)
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_mode_blocks_are_symmetric_negative_definite(bcs, shape, p):
     # real symmetric on walls, Hermitian where an axis is periodic; the
-    # absent modes (the sine at k = 0, the cell cosine at k = n) hold -1
+    # absent modes (the sine at k = 0, the cell cosine at k = n) hold -1.
+    # A wall axis has n + 1 modes, a periodic x axis its n // 2 + 1 rfft
+    # wavenumbers, a periodic y axis n, or n // 2 + 1 when x is a wall.
     mesh = build_structured(*shape, BOUNDS, *bcs)
     basis = nodal_basis(p)
+    nx, ny = shape
+    kx = nx + 1 if bcs[0] == WALL else nx // 2 + 1
+    ky = ny + 1 if bcs[1] == WALL else (ny // 2 + 1 if bcs[0] == WALL else ny)
     for alpha in (1e-4, 1e-2, 1.0):
         blocks = assemble_local(mesh, basis, P2, alpha, P2.wave_speed)
         modes = trace_modes(blocks, mesh, basis)[0]
+        assert modes.shape == (ky, kx, 2 * basis.n, 2 * basis.n)
         assert np.iscomplexobj(modes) == (PERIODIC in bcs)
         _assert_symmetric_negative_definite(modes, 2 * basis.n)
 
 
-@pytest.mark.parametrize("bcs", WALL_PAIRS)
+@pytest.mark.parametrize("bcs", ALL_PAIRS)
 def test_transform_solve_is_bitwise_repeatable(bcs):
     mesh = build_structured(5, 4, BOUNDS, *bcs)
     basis = nodal_basis(2)
@@ -195,19 +200,21 @@ def test_stored_bytes_of_the_transform_path():
     mesh = build_structured(5, 4, BOUNDS, WALL, PERIODIC)
     basis = nodal_basis(2)
     blocks = assemble_local(mesh, basis, P2, 0.05, 1.0)
-    modes, (faces_x, cells_x), (faces_y, cells_y) = trace_modes(blocks, mesh, basis)
-    held = modes.nbytes + faces_x.nbytes + cells_x.nbytes + faces_y.nbytes + cells_y.nbytes
-    # x: 6 wall-axis positions by 6 real modes, 5 cells x 3 nodes by 6 x 3;
-    # y: 4 periodic faces by 4 complex modes, 4 x 3 by 4 x 3; 24 complex 6 x 6 blocks
-    assert held == 8 * (36 + 15 * 18) + 16 * (16 + 12 * 12 + 24 * 36)
-    assert condense_and_factor(blocks, mesh, basis).stored_bytes == held
+    modes, x, y = trace_modes(blocks, mesh, basis)
+    # x is a wall: 6 face positions by 6 real modes, 5 cells x 3 nodes by
+    # 6 x 3; y is periodic and holds no matrix, and it keeps 4 // 2 + 1 = 3
+    # wavenumbers because x is a wall: 3 x 6 complex 6 x 6 inverse blocks
+    assert (x.faces.shape, x.cells.shape) == ((6, 6), (15, 18))
+    assert y.faces is None and y.cells is None
+    assert modes.shape == (3, 6, 6, 6)
+    assert condense_and_factor(blocks, mesh, basis).stored_bytes == 8 * (36 + 15 * 18) + 16 * 3 * 6 * 36
 
 
 def test_stored_bytes_of_the_fft_path():
     mesh = build_structured(5, 4, BOUNDS, PERIODIC, PERIODIC)
     basis = nodal_basis(2)
     blocks = assemble_local(mesh, basis, P2, 0.05, 1.0)
-    # the inverse symbol: 4 x (5 // 2 + 1) complex 6 x 6 blocks
+    # no axis holds a matrix; the inverse blocks: 4 x (5 // 2 + 1) complex 6 x 6
     assert condense_and_factor(blocks, mesh, basis).stored_bytes == 16 * 4 * 3 * 36
 
 
@@ -221,37 +228,6 @@ def test_stored_bytes_of_the_gmres_path():
     # H's values and index arrays, and one 3 x 3 inverse per face
     expected = H.data.nbytes + H.indices.nbytes + H.indptr.nbytes + 8 * 49 * 9
     assert system.stored_bytes == expected
-
-
-@pytest.mark.parametrize("shape", PERIODIC_SHAPES)
-@pytest.mark.parametrize("p", [1, 2, 3])
-def test_fft_solve_matches_splu(shape, p):
-    # on a doubly periodic mesh the direct backend solves by FFT; it must
-    # agree with a sparse LU of the assembled H
-    mesh = build_structured(*shape, BOUNDS, PERIODIC, PERIODIC)
-    basis = nodal_basis(p)
-    rng = np.random.default_rng(p)
-    for alpha in (1e-4, 1e-2, 1.0):
-        blocks = assemble_local(mesh, basis, P2, alpha, P2.wave_speed)
-        system = condense_and_factor(blocks, mesh, basis)
-        assert system.H is None
-        lu = scipy.sparse.linalg.splu(trace_matrix(blocks, mesh, basis))
-        g = rng.standard_normal(mesh.num_faces * basis.n)
-        assert _rel(system.solve_trace(g), lu.solve(g)) <= 1e-12, alpha
-
-
-@pytest.mark.parametrize("shape", PERIODIC_SHAPES)
-@pytest.mark.parametrize("p", [1, 2, 3])
-def test_trace_symbol_blocks_are_hermitian_negative_definite(shape, p):
-    mesh = build_structured(*shape, BOUNDS, PERIODIC, PERIODIC)
-    basis = nodal_basis(p)
-    for alpha in (1e-4, 1e-2, 1.0):
-        blocks = assemble_local(mesh, basis, P2, alpha, P2.wave_speed)
-        symbol = trace_symbol(blocks, mesh, basis)
-        assert symbol.shape == (shape[1], shape[0] // 2 + 1, 2 * basis.n, 2 * basis.n)
-        for h in symbol.reshape(-1, 2 * basis.n, 2 * basis.n):
-            assert np.linalg.norm(h - h.conj().T) <= 1e-13 * np.linalg.norm(h)
-            assert np.max(np.linalg.eigvalsh(h)) < 0.0
 
 
 def test_trace_path_follows_boundary_kinds():

@@ -176,7 +176,8 @@ def test_tables_match_loop_builder(bcx, bcy):
 
 @pytest.mark.parametrize("nx,ny", [(1, 1), (3, 2), (4, 5)])
 def test_periodic_cells_own_west_and_south_faces(nx, ny):
-    # the layout hdg._fft_solve reshapes the trace into, (2, ny, nx, p+1)
+    # the numbering hdg._mode_solve reshapes the trace by: on a doubly
+    # periodic mesh, (ny, nx) vertical faces, then (ny, nx) horizontal ones
     mesh = build_structured(nx, ny, BOUNDS, PERIODIC, PERIODIC)
     cells = np.arange(mesh.num_elements)
     assert np.array_equal(mesh.elem_faces[:, WEST], cells)
