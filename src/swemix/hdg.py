@@ -34,7 +34,8 @@ even across a wall, and a face along the axis is mirrored with its node
 order reversed.  So the faces across a wall axis take a DCT-I, and the
 faces along it a DCT-II on the even part and a DST-II on the odd part of
 their node vectors, applied by GEMM.  The one solve covers all four
-boundary pairs.  The gmres backend assembles H and iterates on it.
+boundary pairs.  The gmres backend iterates on H applied element by
+element, from the same Schur block, and never assembles it either.
 """
 
 from dataclasses import dataclass
@@ -42,7 +43,6 @@ from typing import Callable, Optional
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 import scipy.sparse.linalg
 
 from .basis import element_operators
@@ -149,32 +149,18 @@ def _trace_ids(mesh, n1):
 class CondensedSystem:
     """The element operators of the forward pass and the back-substitution,
     and ``solve``, the one function that applies H^-1 for the backend chosen
-    at set-up.  ``H`` is the assembled trace matrix on the gmres path and
-    None on the direct path, which never assembles it.  ``stored_bytes``
-    counts the arrays the trace solve holds: the inverse mode blocks and
-    the wall-axis transform matrices (a periodic axis holds none), or H's
-    data and index arrays plus the block-Jacobi inverse."""
+    at set-up.  No backend assembles H.  ``stored_bytes`` counts the arrays
+    the trace solve holds: the inverse mode blocks and the wall-axis
+    transform matrices (a periodic axis holds none), or the block-Jacobi
+    inverse."""
 
     blocks: LocalBlocks
-    H: Optional[scipy.sparse.csc_matrix]
     elem_trace_ids: np.ndarray
     solve: Callable
     stored_bytes: int
 
     def solve_trace(self, g):
         return self.solve(g)
-
-
-def trace_matrix(blocks, mesh, basis):
-    """Scatter the element Schur complements into the sparse trace matrix H."""
-    n1 = basis.n
-    ndof = mesh.num_faces * n1
-    # int32 triplets, the index type H ends up with, halve their memory.
-    ids32 = _trace_ids(mesh, n1).astype(np.int32)
-    rows = np.repeat(ids32, 4 * n1, axis=1).ravel()
-    cols = np.tile(ids32, (1, 4 * n1)).ravel()
-    data = np.tile(blocks.schur.ravel(), mesh.num_elements)
-    return scipy.sparse.coo_matrix((data, (rows, cols)), shape=(ndof, ndof)).tocsc()
 
 
 # What an element side sees of a mode along one axis: the mode at the
@@ -335,23 +321,30 @@ def _mode_solve(blocks, mesh, basis):
 def condense_and_factor(blocks, mesh, basis, backend="direct", rel_tol=1e-10, max_iter=500):
     """Prepare the trace solve of the chosen backend.
 
-    The direct backend is exact and never assembles H: it solves in a basis
-    that makes H block-diagonal, one 2 (p+1)-square block per mode
+    Neither backend assembles H.  The direct backend is exact: it solves in
+    a basis that makes H block-diagonal, one 2 (p+1)-square block per mode
     (:func:`trace_modes`), by ``np.fft`` along a periodic axis and by
-    cosine/sine GEMMs along a wall axis.  The gmres backend assembles H and
-    runs restarted GMRES to ``rel_tol`` with a per-face block-Jacobi
-    preconditioner; ``max_iter`` counts restart cycles.
+    cosine/sine GEMMs along a wall axis.  The gmres backend applies H as
+    sum_K P_K^T S P_K, S the element Schur block and P_K the gather of the
+    element's trace dofs, and runs restarted GMRES to ``rel_tol`` with a
+    per-face block-Jacobi preconditioner; ``max_iter`` counts restart
+    cycles.
     """
     if backend not in BACKENDS:
         raise InvalidArgumentError(f"unknown solver backend {backend!r}")
     ids = _trace_ids(mesh, basis.n)
     if backend == "direct":
         solve, stored = _mode_solve(blocks, mesh, basis)
-        return CondensedSystem(blocks=blocks, H=None, elem_trace_ids=ids, solve=solve, stored_bytes=stored)
+        return CondensedSystem(blocks=blocks, elem_trace_ids=ids, solve=solve, stored_bytes=stored)
 
-    H = trace_matrix(blocks, mesh, basis)
     num_faces, n1 = mesh.num_faces, basis.n
-    inv = _block_jacobi(H, num_faces, n1)
+    ndof, flat, schur_t = num_faces * n1, ids.ravel(), blocks.schur.T
+
+    def apply(v):
+        return np.bincount(flat, weights=(v[ids] @ schur_t).ravel(), minlength=ndof)
+
+    inv = _block_jacobi(blocks.schur, num_faces, n1, mesh.elem_faces)
+    H = scipy.sparse.linalg.LinearOperator((ndof, ndof), matvec=apply, dtype=float)
     precond = scipy.sparse.linalg.LinearOperator(
         H.shape, matvec=lambda v: np.einsum("fij,fj->fi", inv, v.reshape(num_faces, n1)).reshape(-1)
     )
@@ -361,7 +354,7 @@ def condense_and_factor(blocks, mesh, basis, backend="direct", rel_tol=1e-10, ma
             H, g, rtol=rel_tol, atol=0.0, restart=30, maxiter=max_iter, M=precond
         )
         if info != 0:
-            res = np.linalg.norm(H @ lam - g) / max(np.linalg.norm(g), 1e-300)
+            res = np.linalg.norm(apply(lam) - g) / max(np.linalg.norm(g), 1e-300)
             raise SolverFailureError(
                 f"trace GMRES did not converge (info={info}, relative residual {res:.3e})",
                 residual=res,
@@ -369,19 +362,23 @@ def condense_and_factor(blocks, mesh, basis, backend="direct", rel_tol=1e-10, ma
             )
         return lam
 
-    stored = H.data.nbytes + H.indices.nbytes + H.indptr.nbytes + inv.nbytes
-    return CondensedSystem(blocks=blocks, H=H, elem_trace_ids=ids, solve=solve, stored_bytes=stored)
+    return CondensedSystem(blocks=blocks, elem_trace_ids=ids, solve=solve, stored_bytes=inv.nbytes)
 
 
-def _block_jacobi(H, num_faces, n1):
-    """Inverse of the per-face diagonal blocks of H, (num_faces, n1, n1)."""
-    coo = H.tocoo()
-    face = coo.row // n1
-    on_block = face == coo.col // n1
-    blocks = np.zeros((num_faces, n1, n1))
-    blocks[face[on_block], coo.row[on_block] % n1, coo.col[on_block] % n1] = coo.data[on_block]
+def _block_jacobi(schur, num_faces, n1, elem_faces):
+    """Inverse of the per-face diagonal blocks of H, (num_faces, n1, n1).
+
+    A face's block sums the Schur sub-blocks (s, t) of every element side
+    pair that lands on it: (s, s) always, and (east, west) and (west, east),
+    or (north, south) and (south, north), where a one-cell periodic axis
+    wraps an element onto itself.
+    """
+    sub = schur.reshape(4, n1, 4, n1).swapaxes(1, 2)
+    elem, s, t = np.nonzero(elem_faces[:, :, None] == elem_faces[:, None, :])
+    at = (elem_faces[elem, s] * n1 * n1)[:, None] + np.arange(n1 * n1)
+    blocks = np.bincount(at.ravel(), weights=sub[s, t].ravel(), minlength=num_faces * n1 * n1)
     try:
-        return np.linalg.inv(blocks)
+        return np.linalg.inv(blocks.reshape(num_faces, n1, n1))
     except np.linalg.LinAlgError as exc:
         raise AssemblyError("singular face block in preconditioner") from exc
 

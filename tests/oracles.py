@@ -4,11 +4,14 @@ Everything here is deliberately written as plain scalar loops from the
 mathematical definitions, sharing nothing with the production assembly or
 solve paths beyond the basis nodes/weights/differentiation matrix and the
 GLL node coordinates (which have their own analytic tests).  The one
-exception is ``face_path_tendency``, which checks only the face path of
-the explicit tendency and so takes the element operators as given.
+exceptions are ``face_path_tendency``, which checks only the face path of
+the explicit tendency and so takes the element operators as given, and
+``trace_matrix``, which takes the element Schur block as given and checks
+the trace solves that start from it.
 """
 
 import numpy as np
+import scipy.sparse
 
 from swemix.basis import element_operators
 from swemix.mesh import EAST, NORTH, PERIODIC, SIDE_NORMALS, SOUTH, WEST, gll_node_coords
@@ -453,6 +456,21 @@ def mesh_tables_loop(nx, ny, bounds, bc_x, bc_y):
         "elem_x0": elem_x0,
         "elem_y0": elem_y0,
     }
+
+
+# --- Legacy sparse trace matrix -------------------------------------------------
+
+def trace_matrix(blocks, mesh, basis):
+    """Scatter the element Schur complements into the sparse trace matrix H."""
+    n1 = basis.n
+    ndof = mesh.num_faces * n1
+    # int32 triplets, the index type H ends up with, halve their memory.
+    ids32 = (mesh.elem_faces[:, :, None] * n1 + np.arange(n1)).reshape(mesh.num_elements, 4 * n1)
+    ids32 = ids32.astype(np.int32)
+    rows = np.repeat(ids32, 4 * n1, axis=1).ravel()
+    cols = np.tile(ids32, (1, 4 * n1)).ravel()
+    data = np.tile(blocks.schur.ravel(), mesh.num_elements)
+    return scipy.sparse.coo_matrix((data, (rows, cols)), shape=(ndof, ndof)).tocsc()
 
 
 # --- Legacy VTK writer and reader ---------------------------------------------

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse
 import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,8 +16,8 @@ from swemix.hdg import (
     assemble_local,
     condense_and_factor,
     implicit_solve,
+    _block_jacobi,
     local_matrices,
-    trace_matrix,
     trace_modes,
 )
 from swemix.imex import step, tableau
@@ -71,7 +72,7 @@ def test_single_element_schur_matches_dense_oracle():
     oracle = oracles.MonolithicHdg(mesh, basis, P2, alpha, tau)
     h_oracle = oracle.schur_complement()
     assert h_oracle.shape == (8, 8)
-    assert np.max(np.abs(trace_matrix(blocks, mesh, basis).toarray() - h_oracle)) < 1e-12
+    assert np.max(np.abs(oracles.trace_matrix(blocks, mesh, basis).toarray() - h_oracle)) < 1e-12
 
 
 def test_trace_system_size():
@@ -79,7 +80,7 @@ def test_trace_system_size():
         mesh = build_structured(nx, ny, BOUNDS, WALL, WALL)
         basis = nodal_basis(p)
         blocks = assemble_local(mesh, basis, P2, 0.02, 1.0)
-        assert trace_matrix(blocks, mesh, basis).shape == (mesh.num_faces * (p + 1),) * 2
+        assert oracles.trace_matrix(blocks, mesh, basis).shape == (mesh.num_faces * (p + 1),) * 2
 
 
 @pytest.mark.parametrize("bc", [WALL, PERIODIC])
@@ -92,7 +93,7 @@ def test_trace_system_is_symmetric_negative_definite(p, bc):
         mesh = build_structured(n, n, BOUNDS, bc, bc)
         for alpha in (1e-4, 1e-2, 1.0):
             blocks = assemble_local(mesh, basis, P2, alpha, P2.wave_speed)
-            H = trace_matrix(blocks, mesh, basis).toarray()
+            H = oracles.trace_matrix(blocks, mesh, basis).toarray()
             assert np.linalg.norm(H - H.T) <= 1e-13 * np.linalg.norm(H)
             assert np.min(np.linalg.eigvalsh(-0.5 * (H + H.T))) > 0.0
 
@@ -110,7 +111,6 @@ def test_direct_backend_blocks_are_symmetric_negative_definite(alpha):
     mesh = build_structured(16, 16, BOUNDS, WALL, WALL)
     basis = nodal_basis(3)
     blocks = assemble_local(mesh, basis, P2, alpha, P2.wave_speed)
-    assert condense_and_factor(blocks, mesh, basis).H is None
     modes = trace_modes(blocks, mesh, basis)[0]
     assert modes.shape == (17, 17, 8, 8)
     assert modes.dtype == np.float64
@@ -142,8 +142,7 @@ def test_transform_solve_matches_splu(bcs, shape, p):
     for alpha in (1e-4, 1e-2, 1.0):
         blocks = assemble_local(mesh, basis, P2, alpha, P2.wave_speed)
         system = condense_and_factor(blocks, mesh, basis)
-        assert system.H is None
-        lu = scipy.sparse.linalg.splu(trace_matrix(blocks, mesh, basis))
+        lu = scipy.sparse.linalg.splu(oracles.trace_matrix(blocks, mesh, basis))
         g = rng.standard_normal(mesh.num_faces * basis.n)
         assert _rel(system.solve_trace(g), lu.solve(g)) <= 1e-12, alpha
 
@@ -182,18 +181,24 @@ def test_transform_solve_is_bitwise_repeatable(bcs):
     assert np.array_equal(first, again.solve_trace(g))
 
 
-def test_direct_backend_calls_no_sparse_factorization(monkeypatch):
+def test_no_backend_builds_a_sparse_matrix(monkeypatch):
+    # neither backend assembles H or factorizes a sparse matrix, on any
+    # boundary pair, and the gmres solve still matches the direct one
     def refuse(*args, **kwargs):
-        raise AssertionError("sparse factorization called")
+        raise AssertionError("sparse matrix built or factorized")
 
     for name in ("splu", "spilu", "factorized", "spsolve"):
         monkeypatch.setattr(scipy.sparse.linalg, name, refuse)
+    for name in ("coo_matrix", "csc_matrix", "csr_matrix"):
+        monkeypatch.setattr(scipy.sparse, name, refuse)
     basis = nodal_basis(2)
     for bcs in ALL_PAIRS:
         mesh = build_structured(3, 2, BOUNDS, *bcs)
-        bank = ImplicitSolverBank(mesh, basis, P2)
-        q, _ = bank.solve(0.05, _rand_field(mesh, basis))
-        assert np.all(np.isfinite(q.data)), bcs
+        r = _rand_field(mesh, basis)
+        qd, _ = ImplicitSolverBank(mesh, basis, P2).solve(0.05, r)
+        qg, _ = ImplicitSolverBank(mesh, basis, P2, backend="gmres", rel_tol=1e-12).solve(0.05, r)
+        assert np.all(np.isfinite(qd.data)), bcs
+        assert _rel(qg.data, qd.data) <= 1e-9, bcs
 
 
 def test_stored_bytes_of_the_transform_path():
@@ -222,24 +227,26 @@ def test_stored_bytes_of_the_gmres_path():
     mesh = build_structured(5, 4, BOUNDS, WALL, WALL)
     basis = nodal_basis(2)
     blocks = assemble_local(mesh, basis, P2, 0.05, 1.0)
-    system = condense_and_factor(blocks, mesh, basis, backend="gmres")
-    H = system.H
-    assert H.shape == (49 * 3,) * 2
-    # H's values and index arrays, and one 3 x 3 inverse per face
-    expected = H.data.nbytes + H.indices.nbytes + H.indptr.nbytes + 8 * 49 * 9
-    assert system.stored_bytes == expected
+    # H is applied element by element; only one 3 x 3 inverse per face of
+    # the 6 x 5 + 5 x 4 = 49 is held
+    assert condense_and_factor(blocks, mesh, basis, backend="gmres").stored_bytes == 8 * 49 * 9
 
 
-def test_trace_path_follows_boundary_kinds():
-    # the direct backend never assembles H, on any boundary pair; gmres
-    # always does
-    basis = nodal_basis(1)
-    for bcs in ALL_PAIRS:
-        mesh = build_structured(3, 2, BOUNDS, *bcs)
-        blocks = assemble_local(mesh, basis, P2, 0.05, 1.0)
-        for backend, assembled in (("direct", False), ("gmres", True)):
-            system = condense_and_factor(blocks, mesh, basis, backend=backend)
-            assert (system.H is not None) == assembled, (bcs, backend)
+@pytest.mark.parametrize("bcs", ALL_PAIRS)
+@pytest.mark.parametrize("shape", [(1, 1), (1, 3), (3, 1), (3, 2)])
+def test_block_jacobi_inverts_the_face_blocks_of_H(bcs, shape):
+    # a one-cell periodic axis puts both sides of an element on one face,
+    # whose block then holds the Schur cross terms of that side pair
+    mesh = build_structured(*shape, BOUNDS, *bcs)
+    basis = nodal_basis(2)
+    n1 = basis.n
+    for alpha in (1e-4, 1e-2, 1.0):
+        blocks = assemble_local(mesh, basis, P2, alpha, P2.wave_speed)
+        H = oracles.trace_matrix(blocks, mesh, basis).toarray()
+        faces = np.arange(mesh.num_faces)
+        diag = H.reshape(mesh.num_faces, n1, mesh.num_faces, n1)[faces, :, faces]
+        inv = _block_jacobi(blocks.schur, mesh.num_faces, n1, mesh.elem_faces)
+        assert np.max(np.abs(inv @ diag - np.eye(n1))) <= 1e-13, alpha
 
 
 def test_singular_symbol_raises_assembly_error():
@@ -266,7 +273,7 @@ def test_trace_system_sparsity_is_symmetric():
     mesh = build_structured(4, 3, BOUNDS, PERIODIC, WALL)
     basis = nodal_basis(2)
     blocks = assemble_local(mesh, basis, P2, 0.04, 1.0)
-    pattern = (trace_matrix(blocks, mesh, basis).toarray() != 0.0)
+    pattern = (oracles.trace_matrix(blocks, mesh, basis).toarray() != 0.0)
     assert np.array_equal(pattern, pattern.T)
 
 
@@ -385,25 +392,24 @@ def test_gmres_backend_matches_direct():
     assert np.max(np.abs(qd.data - qg.data)) < 1e-8
 
 
-@pytest.mark.parametrize("bcs", [(WALL, WALL), (PERIODIC, PERIODIC)])
+@pytest.mark.parametrize("bcs", ALL_PAIRS)
 def test_direct_gmres_and_monolithic_agree_at_random_shifts(bcs):
-    mesh = build_structured(3, 3, BOUNDS, *bcs)
+    # (1, 3) and (3, 1) put a one-cell axis in x and in y; on a periodic
+    # axis both sides of every element then land on one face
     basis = nodal_basis(2)
     tau = P2.wave_speed
-    rng = np.random.default_rng(4)  # shifts from 2.1e-4 to 0.80
-    direct = ImplicitSolverBank(mesh, basis, P2, backend="direct")
-    gmres = ImplicitSolverBank(mesh, basis, P2, backend="gmres", rel_tol=1e-12)
-
-    def rel(a, b):
-        return np.max(np.abs(a - b)) / np.max(np.abs(b))
-
-    for alpha in 10.0 ** rng.uniform(-4.0, 0.0, size=5):
-        r = StateField(rng.standard_normal((9, 3, 3, 3)), mesh, basis)
-        q_o, lam_o = oracles.MonolithicHdg(mesh, basis, P2, alpha, tau).solve(r.data)
-        for bank in (direct, gmres):
-            q, lam = bank.solve(alpha, r)
-            assert rel(q.data, q_o) <= 1e-9, (bank.backend, alpha)
-            assert rel(lam.data.reshape(-1), lam_o) <= 1e-9, (bank.backend, alpha)
+    rng = np.random.default_rng(4)
+    for shape in ((3, 3), (1, 3), (3, 1)):
+        mesh = build_structured(*shape, BOUNDS, *bcs)
+        direct = ImplicitSolverBank(mesh, basis, P2, backend="direct")
+        gmres = ImplicitSolverBank(mesh, basis, P2, backend="gmres", rel_tol=1e-12)
+        for alpha in 10.0 ** rng.uniform(-4.0, 0.0, size=5):
+            r = StateField(rng.standard_normal((mesh.num_elements, 3, 3, 3)), mesh, basis)
+            q_o, lam_o = oracles.MonolithicHdg(mesh, basis, P2, alpha, tau).solve(r.data)
+            for bank in (direct, gmres):
+                q, lam = bank.solve(alpha, r)
+                assert _rel(q.data, q_o) <= 1e-9, (shape, bank.backend, alpha)
+                assert _rel(lam.data.reshape(-1), lam_o) <= 1e-9, (shape, bank.backend, alpha)
 
 
 @pytest.mark.parametrize("bc", [PERIODIC, WALL])
