@@ -181,9 +181,7 @@ def test_transform_solve_is_bitwise_repeatable(bcs):
     assert np.array_equal(first, again.solve_trace(g))
 
 
-def test_no_backend_builds_a_sparse_matrix(monkeypatch):
-    # neither backend assembles H or factorizes a sparse matrix, on any
-    # boundary pair, and the gmres solve still matches the direct one
+def _refuse_sparse_matrices(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("sparse matrix built or factorized")
 
@@ -191,14 +189,16 @@ def test_no_backend_builds_a_sparse_matrix(monkeypatch):
         monkeypatch.setattr(scipy.sparse.linalg, name, refuse)
     for name in ("coo_matrix", "csc_matrix", "csr_matrix"):
         monkeypatch.setattr(scipy.sparse, name, refuse)
+
+
+def test_direct_backend_calls_no_sparse_factorization(monkeypatch):
+    _refuse_sparse_matrices(monkeypatch)
     basis = nodal_basis(2)
     for bcs in ALL_PAIRS:
         mesh = build_structured(3, 2, BOUNDS, *bcs)
-        r = _rand_field(mesh, basis)
-        qd, _ = ImplicitSolverBank(mesh, basis, P2).solve(0.05, r)
-        qg, _ = ImplicitSolverBank(mesh, basis, P2, backend="gmres", rel_tol=1e-12).solve(0.05, r)
-        assert np.all(np.isfinite(qd.data)), bcs
-        assert _rel(qg.data, qd.data) <= 1e-9, bcs
+        bank = ImplicitSolverBank(mesh, basis, P2)
+        q, _ = bank.solve(0.05, _rand_field(mesh, basis))
+        assert np.all(np.isfinite(q.data)), bcs
 
 
 def test_stored_bytes_of_the_transform_path():
@@ -230,6 +230,24 @@ def test_stored_bytes_of_the_gmres_path():
     # H is applied element by element; only one 3 x 3 inverse per face of
     # the 6 x 5 + 5 x 4 = 49 is held
     assert condense_and_factor(blocks, mesh, basis, backend="gmres").stored_bytes == 8 * 49 * 9
+
+
+def test_trace_path_follows_boundary_kinds(monkeypatch):
+    # on every boundary pair neither backend assembles H or factorizes a
+    # sparse matrix; gmres holds only the block-Jacobi inverse and its
+    # solve matches the direct one
+    _refuse_sparse_matrices(monkeypatch)
+    basis = nodal_basis(2)
+    for bcs in ALL_PAIRS:
+        mesh = build_structured(3, 2, BOUNDS, *bcs)
+        blocks = assemble_local(mesh, basis, P2, 0.05, 1.0)
+        system = condense_and_factor(blocks, mesh, basis, backend="gmres")
+        assert system.stored_bytes == 8 * mesh.num_faces * basis.n**2, bcs
+        r = _rand_field(mesh, basis)
+        qd, _ = ImplicitSolverBank(mesh, basis, P2).solve(0.05, r)
+        qg, _ = ImplicitSolverBank(mesh, basis, P2, backend="gmres", rel_tol=1e-12).solve(0.05, r)
+        assert np.all(np.isfinite(qd.data)), bcs
+        assert _rel(qg.data, qd.data) <= 1e-9, bcs
 
 
 @pytest.mark.parametrize("bcs", ALL_PAIRS)
