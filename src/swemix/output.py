@@ -5,13 +5,28 @@ nodes and whose cells are the p x p quad subcells of each element, with
 phi' as point scalars and the velocity (U/phi, V/phi, 0) as point vectors.
 Numbers are printed with 17 significant digits so files round-trip float64
 exactly and repeated runs are byte-identical.
+
+The POINTS, CELLS and CELL_TYPES sections depend only on the mesh and the
+basis, so they are formatted once and reused while later snapshots pass the
+same mesh and basis objects.  Each snapshot formats only its two data
+sections, in chunks of rows written as they are made, so no whole-file
+string is ever held.  Files are written in binary mode: the bytes, "\\n"
+line ends included, are the same on every platform.
 """
 
 import os
 
 import numpy as np
 
+from .errors import InvalidArgumentError
 from .mesh import gll_node_coords
+
+# rows formatted per string; bounds the text held at once
+_CHUNK = 4096
+
+# (mesh, basis, geometry bytes) of the last snapshot; holding the objects
+# keeps their ids from being reused while the entry matches them by ``is``
+_cached = None
 
 
 def _fmt(value):
@@ -19,15 +34,17 @@ def _fmt(value):
 
 
 def _rows(fmt, values):
-    """Format every row of ``values`` with ``fmt`` in one pass."""
-    return fmt * len(values) % tuple(values.ravel().tolist())
+    """Format every row of ``values`` with ``fmt``, yielding ASCII bytes of
+    at most ``_CHUNK`` rows each."""
+    for start in range(0, len(values), _CHUNK):
+        part = values[start : start + _CHUNK]
+        yield (fmt * len(part) % tuple(part.ravel().tolist())).encode("ascii")
 
 
-def write_vtk(field, mesh, basis, path, phi_bar, title="swemix snapshot"):
-    """Write one state snapshot as a legacy ASCII VTK unstructured grid."""
+def _geometry(mesh, basis):
+    """The POINTS, CELLS and CELL_TYPES sections as ASCII bytes."""
     n1, p = basis.n, basis.order
     coords = gll_node_coords(mesh, basis).reshape(-1, 2)
-    npoints = coords.shape[0]
     ncells = mesh.num_elements * p**2
 
     # lower-left node of every subcell, element-major then (j, i); the
@@ -35,29 +52,43 @@ def write_vtk(field, mesh, basis, path, phi_bar, title="swemix snapshot"):
     jj, ii = np.meshgrid(np.arange(p), np.arange(p), indexing="ij")
     a = (np.arange(mesh.num_elements)[:, None] * n1 * n1 + (jj * n1 + ii).ravel()).ravel()
     cells = np.stack([a, a + 1, a + n1 + 1, a + n1], axis=1)
-
-    flat = field.data.reshape(-1, 3)
-    velocity = flat[:, 1:] / (phi_bar + flat[:, :1])
-    text = "".join(
+    return b"".join(
         [
-            f"# vtk DataFile Version 3.0\n{title}\nASCII\nDATASET UNSTRUCTURED_GRID\n",
-            f"POINTS {npoints} double\n",
-            _rows("%.17g %.17g 0\n", coords),
-            f"CELLS {ncells} {5 * ncells}\n",
-            _rows("4 %d %d %d %d\n", cells),
-            f"CELL_TYPES {ncells}\n",
-            "9\n" * ncells,
-            f"POINT_DATA {npoints}\nSCALARS phi_prime double\nLOOKUP_TABLE default\n",
-            _rows("%.17g\n", flat[:, 0]),
-            "VECTORS velocity double\n",
-            _rows("%.17g %.17g 0\n", velocity),
+            f"POINTS {len(coords)} double\n".encode("ascii"),
+            *_rows("%.17g %.17g 0\n", coords),
+            f"CELLS {ncells} {5 * ncells}\n".encode("ascii"),
+            *_rows("4 %d %d %d %d\n", cells),
+            f"CELL_TYPES {ncells}\n".encode("ascii"),
+            b"9\n" * ncells,
         ]
     )
 
+
+def write_vtk(field, mesh, basis, path, phi_bar, title="swemix snapshot"):
+    """Write one state snapshot as a legacy ASCII VTK unstructured grid.
+
+    ``title`` is the header line: at most 256 printable ASCII characters.
+    It is checked before anything is created, so a bad one leaves no file.
+    """
+    global _cached
+    if not (title.isascii() and title.isprintable() and len(title) <= 256):
+        raise InvalidArgumentError(
+            f"VTK title must be one line of at most 256 printable ASCII characters, got {title!r}"
+        )
+    if _cached is None or _cached[0] is not mesh or _cached[1] is not basis:
+        _cached = (mesh, basis, _geometry(mesh, basis))
+    flat = field.data.reshape(-1, 3)
+    velocity = flat[:, 1:] / (phi_bar + flat[:, :1])
+
     parent = os.path.dirname(os.path.abspath(path))
     os.makedirs(parent, exist_ok=True)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(text)
+    with open(path, "wb") as fh:
+        fh.write(f"# vtk DataFile Version 3.0\n{title}\nASCII\nDATASET UNSTRUCTURED_GRID\n".encode("ascii"))
+        fh.write(_cached[2])
+        fh.write(f"POINT_DATA {len(flat)}\nSCALARS phi_prime double\nLOOKUP_TABLE default\n".encode("ascii"))
+        fh.writelines(_rows("%.17g\n", flat[:, 0]))
+        fh.write(b"VECTORS velocity double\n")
+        fh.writelines(_rows("%.17g %.17g 0\n", velocity))
     return path
 
 

@@ -2,8 +2,12 @@ import numpy as np
 import pytest
 
 import oracles
+from swemix import output
 from swemix.basis import nodal_basis
+from swemix.config import parse_text
 from swemix.dg import StateField, nodal_field
+from swemix.driver import run
+from swemix.errors import InvalidArgumentError
 from swemix.mesh import build_structured, gll_node_coords
 from swemix.output import CsvSeriesWriter, write_vtk
 
@@ -66,6 +70,70 @@ def test_vtk_matches_per_value_writer(tmp_path, bc):
     new = write_vtk(field, mesh, basis, str(tmp_path / "new.vtk"), 1.3, title="t 100%")
     old = oracles.write_vtk_loop(field, mesh, basis, str(tmp_path / "old.vtk"), 1.3, title="t 100%")
     assert open(new, "rb").read() == open(old, "rb").read()
+
+
+def _assert_matches_loop(tmp_path, mesh, basis, seed, title="swemix snapshot"):
+    rng = np.random.default_rng(seed)
+    field = StateField(rng.uniform(-0.3, 0.3, (mesh.num_elements, basis.n, basis.n, 3)), mesh, basis)
+    new = write_vtk(field, mesh, basis, str(tmp_path / "new.vtk"), 1.1, title=title)
+    old = oracles.write_vtk_loop(field, mesh, basis, str(tmp_path / "old.vtk"), 1.1, title=title)
+    assert open(new, "rb").read() == open(old, "rb").read()
+
+
+def _count_geometry(monkeypatch):
+    """The list of the calls that format the mesh sections from now on."""
+    calls = []
+    geometry = output._geometry
+    monkeypatch.setattr(output, "_geometry", lambda *a: calls.append(a) or geometry(*a))
+    return calls
+
+
+def test_vtk_cache_follows_mesh_and_basis(tmp_path, monkeypatch):
+    # the mesh sections are reused only for the mesh and basis objects they
+    # were formatted from; every switch of either must format them anew
+    calls = _count_geometry(monkeypatch)
+    meshes = [build_structured(3, 2, BOUNDS, "wall", "wall"), build_structured(2, 5, BOUNDS, "periodic", "wall")]
+    bases = [nodal_basis(1), nodal_basis(3)]
+    order = [(0, 0), (0, 0), (1, 0), (1, 1), (1, 1), (0, 1), (0, 0), (1, 1), (0, 0)]
+    for seed, (m, b) in enumerate(order):
+        _assert_matches_loop(tmp_path, meshes[m], bases[b], seed, title=f"write {seed}")
+    assert len(calls) == 7
+
+
+def test_vtk_cache_equal_mesh_new_object(tmp_path, monkeypatch):
+    # a mesh equal in value but not the cached object is formatted again
+    calls = _count_geometry(monkeypatch)
+    basis = nodal_basis(2)
+    _assert_matches_loop(tmp_path, build_structured(4, 3, BOUNDS, "wall", "wall"), basis, 0)
+    _assert_matches_loop(tmp_path, build_structured(4, 3, BOUNDS, "wall", "wall"), basis, 1)
+    assert len(calls) == 2
+
+
+def test_run_formats_geometry_once(tmp_path, monkeypatch):
+    calls = _count_geometry(monkeypatch)
+    text = (
+        "case.name = standing_wave\ntime.dt = 0.01\ntime.t_final = 0.06\nmesh.nx = 3\nmesh.ny = 2\n"
+        "disc.order = 2\noutput.vtk_every_n_steps = 2\noutput.dir = {out}\n"
+    )
+    for n in range(2):
+        result = run(parse_text(text.format(out=tmp_path / str(n))), quiet=True)
+        assert len(result.vtk_paths) == 4
+        assert len(calls) == n + 1
+
+
+@pytest.mark.parametrize("title", ["two\nlines", "carriage\rreturn", "caf\u00e9", "x" * 257])
+def test_vtk_bad_title_leaves_no_file(tmp_path, title):
+    mesh = build_structured(1, 1, BOUNDS, "wall", "wall")
+    basis = nodal_basis(1)
+    field = StateField(np.zeros((1, 2, 2, 3)), mesh, basis)
+    path = tmp_path / "sub" / "bad.vtk"
+    with pytest.raises(InvalidArgumentError, match="VTK title"):
+        write_vtk(field, mesh, basis, str(path), 1.0, title=title)
+    assert not (tmp_path / "sub").exists()
+
+
+def test_vtk_longest_title(tmp_path):
+    _assert_matches_loop(tmp_path, build_structured(1, 1, BOUNDS, "wall", "wall"), nodal_basis(1), 0, "t" * 256)
 
 
 def test_vtk_unwritable_path(tmp_path):
