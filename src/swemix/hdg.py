@@ -171,28 +171,12 @@ _X_SEES = (_CELL, _HIGH, _CELL, _LOW)  # south, east, north, west
 _Y_SEES = (_LOW, _CELL, _HIGH, _CELL)
 
 
-def _real_gemm(a, b):
-    """a @ b with at most one complex operand, which is multiplied as real
-    data rather than casting the real one to complex for a complex GEMM.
-    On the right, its real and imaginary parts are interleaved columns; on
-    the left, they are stacked as rows."""
-    if "c" not in (a.dtype.kind, b.dtype.kind):
-        return a @ b
-    if b.dtype.kind == "c":
-        return (a @ np.ascontiguousarray(b).view(np.float64)).view(np.complex128)
-    parts = np.concatenate([a.real, a.imag]) @ b
-    out = np.empty((len(a), b.shape[1]), np.complex128)
-    out.real, out.imag = parts[: len(a)], parts[len(a) :]
-    return out
-
-
 @dataclass
 class _Axis:
     """One axis of n cells in the mode basis of the direct solve.
 
-    A wall axis holds its mode matrices and applies them by real GEMMs,
-    on complex data too (:func:`_real_gemm`): ``faces`` (n+1, n+1),
-    cos(pi k i / n) at the faces across it, and ``cells``
+    A wall axis holds its mode matrices and applies them by GEMM: ``faces``
+    (n+1, n+1), cos(pi k i / n) at the faces across it, and ``cells``
     (n (p+1), (n+1) (p+1)), cos and sin of pi k (i + 1/2) / n on the J-even
     and J-odd node vectors of the faces along it.  A periodic axis holds
     none and is applied by ``np.fft``, keeping only the ``rfft``
@@ -245,14 +229,14 @@ class _Axis:
     def analyse(self, a, axis):
         """V^H along ``axis``; x goes first, so a half spectrum sees real data."""
         if self.faces is not None:
-            return _real_gemm(self.faces.T, a) if axis == 0 else _real_gemm(a, self.cells)
+            return self.faces.T @ a if axis == 0 else a @ self.cells
         out = (np.fft.rfft if self.half else np.fft.fft)(a.reshape(len(a), -1, self.n1), axis=axis)
         return out.reshape(len(out), -1)
 
     def synthesise(self, a, axis):
         """V along ``axis``; y goes first, so a half spectrum ends real."""
         if self.faces is not None:
-            return _real_gemm(self.faces, a) if axis == 0 else _real_gemm(a, self.cells.T)
+            return self.faces @ a if axis == 0 else a @ self.cells.T
         a = a.reshape(len(a), -1, self.n1)
         if self.half:
             out = np.fft.irfft(a, self.n, axis=axis, norm="forward")

@@ -8,10 +8,14 @@ exactly and repeated runs are byte-identical.
 
 The POINTS, CELLS and CELL_TYPES sections depend only on the mesh and the
 basis, so they are formatted once and reused while later snapshots pass the
-same mesh and basis objects.  Each snapshot formats only its two data
-sections, in chunks of rows written as they are made, so no whole-file
-string is ever held.  Files are written in binary mode: the bytes, "\\n"
-line ends included, are the same on every platform.
+same mesh and basis objects.  Only the last mesh's geometry is kept (1.2 MB
+of text for 64 x 64 elements at p = 2 on the unit square); it stays in
+memory, with that mesh and basis, until a snapshot of another mesh or
+basis replaces it, also after the run that wrote it has ended.  Each
+snapshot formats only its two data sections, in chunks of rows written as
+they are made, so no whole-file string is ever held.  Files are written in
+binary mode: the bytes, "\\n" line ends included, are the same on every
+platform.
 """
 
 import os
