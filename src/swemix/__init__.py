@@ -24,6 +24,6 @@ from .hdg import (
 )
 from .imex import ImexTableau, check_order_conditions, scheme_names, step, tableau
 from .mesh import Mesh, build_structured, gll_node_coords
-from .swe import ModelParams, flux_full, flux_linear, flux_nonlinear, source
+from .swe import ModelParams, flux_full, flux_nonlinear, source
 
 __version__ = "0.1.0"

@@ -20,8 +20,6 @@ class TestCase:
     bounds: tuple  # (xmin, xmax, ymin, ymax)
     bc_x: str
     bc_y: str
-    params: ModelParams
-    amplitude: float
     initial_state: Callable  # (x, y) -> (..., 3)
     exact_solution: Optional[Callable] = None  # (x, y, t) -> (..., 3)
     mms_source: Optional[Callable] = None  # (x, y, t) -> (..., 3)
@@ -49,10 +47,10 @@ class _SpatialTrig:
 
 def lake_at_rest(params=None, amplitude=None):
     """Zero perturbation, zero momentum; exactly steady for any rotation and
-    drag.  The state has no amplitude, so setting one is an error."""
+    drag, so ``params`` is not read.  The state has no amplitude, so setting
+    one is an error."""
     if amplitude is not None:
         raise InvalidArgumentError(f"lake_at_rest takes no amplitude, got {amplitude}")
-    params = params or ModelParams(phi_bar=1.0)
 
     def initial(x, y):
         return np.zeros(np.shape(x) + (3,))
@@ -65,8 +63,6 @@ def lake_at_rest(params=None, amplitude=None):
         bounds=(0.0, 1.0, 0.0, 1.0),
         bc_x=WALL,
         bc_y=WALL,
-        params=params,
-        amplitude=0.0,
         initial_state=initial,
         exact_solution=exact,
     )
@@ -114,8 +110,6 @@ def standing_wave(params=None, amplitude=None):
         bounds=(0.0, 1.0, 0.0, 1.0),
         bc_x=WALL,
         bc_y=WALL,
-        params=params,
-        amplitude=amplitude,
         initial_state=lambda x, y: exact(x, y, 0.0),
         exact_solution=exact,
     )
@@ -225,8 +219,6 @@ def mms_nonlinear(params=None, amplitude=None):
         bounds=(0.0, 1.0, 0.0, 1.0),
         bc_x=PERIODIC,
         bc_y=PERIODIC,
-        params=params,
-        amplitude=amplitude,
         initial_state=lambda x, y: exact(x, y, 0.0),
         exact_solution=exact,
         mms_source=source,

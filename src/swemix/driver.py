@@ -168,14 +168,8 @@ def _step(pair, q, k, dt, tab):
     it names the step and the time it was to reach."""
     try:
         return imex.step(pair, q, k * dt, dt, tab)
-    except SolverFailureError as exc:
-        raise SolverFailureError(
-            f"step {k + 1} (t = {(k + 1) * dt:.6g}): {exc}",
-            residual=exc.residual,
-            iterations=exc.iterations,
-        ) from exc
-    except DryStateError as exc:
-        raise DryStateError(f"step {k + 1} (t = {(k + 1) * dt:.6g}): {exc}", element=exc.element) from exc
+    except (SolverFailureError, DryStateError) as exc:
+        raise exc.with_context(f"step {k + 1} (t = {(k + 1) * dt:.6g})") from exc
 
 
 def run(cfg, quiet=False):
@@ -196,7 +190,7 @@ def run(cfg, quiet=False):
 
     def snapshot(step, field):
         path = os.path.join(out_dir, f"snap_{step:06d}.vtk")
-        write_vtk(field, sim.mesh, sim.basis, path, sim.params.phi_bar)
+        write_vtk(field, path, sim.params.phi_bar)
         vtk_paths.append(path)
 
     def record(step, t, field):
@@ -374,8 +368,8 @@ def stability_study(
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for k in range(n_steps):
             try:
-                q = imex.step(control, q, k * dt, dt, sim.tab)
-            except (DryStateError, FloatingPointError):
+                q = _step(control, q, k, dt, sim.tab)
+            except DryStateError:
                 explicit_max = np.inf
                 break
             m = float(np.max(np.abs(q.phi_prime)))

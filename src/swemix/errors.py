@@ -4,6 +4,14 @@
 class SwemixError(Exception):
     """Base class for all solver errors."""
 
+    def with_context(self, context):
+        """This error with ``context`` before its message: the same class
+        and attributes, without running the constructor again.  Raise it
+        ``from`` this one."""
+        err = type(self).__new__(type(self), f"{context}: {self}")
+        err.__dict__.update(self.__dict__)
+        return err
+
 
 class InvalidArgumentError(SwemixError, ValueError):
     """An argument violates a documented precondition."""

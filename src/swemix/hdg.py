@@ -299,12 +299,11 @@ def _mode_solve(blocks, mesh, basis):
         raise AssemblyError(f"condensed trace system is singular: {exc}") from exc
     n1, nx, ny = basis.n, mesh.nx, mesh.ny
     ky, kx = inv.shape[:2]
-    nfx = nx if mesh.bc_x == PERIODIC else nx + 1
-    n_vert = ny * nfx * n1
+    n_vert = mesh.num_vertical_faces * n1
 
     def solve(g):
         # vertical faces as (nfx, ny (p+1)), horizontal ones as (nfy, nx (p+1))
-        vert = g[:n_vert].reshape(ny, nfx, n1).swapaxes(0, 1).reshape(nfx, -1)
+        vert = g[:n_vert].reshape(ny, -1, n1).swapaxes(0, 1).reshape(-1, ny * n1)
         horiz = g[n_vert:].reshape(-1, nx * n1)
         hat = np.empty((ky, kx, 2, n1), inv.dtype)
         hat[:, :, 0] = y.analyse(x.analyse(horiz, 1), 0).reshape(ky, kx, n1)
@@ -312,7 +311,7 @@ def _mode_solve(blocks, mesh, basis):
         lam = (inv @ hat.reshape(ky, kx, 2 * n1, 1)).reshape(ky, kx, 2, n1)
         horiz = x.synthesise(y.synthesise(lam[:, :, 0].reshape(ky, -1), 0), 1)
         vert = x.synthesise(y.synthesise(lam[:, :, 1].swapaxes(0, 1).reshape(kx, -1), 1), 0)
-        return np.concatenate([vert.reshape(nfx, ny, n1).swapaxes(0, 1).ravel(), horiz.ravel()])
+        return np.concatenate([vert.reshape(-1, ny, n1).swapaxes(0, 1).ravel(), horiz.ravel()])
 
     held = [a for axis in (x, y) for a in (axis.faces, axis.cells) if a is not None]
     return solve, inv.nbytes + sum(a.nbytes for a in held)

@@ -196,7 +196,6 @@ def check_order_conditions(tab, up_to_order):
 def step(pair, q, t, dt, tab):
     """Advance one IMEX step of size dt from state q at time t."""
     s = tab.stages
-    A_ex, A_im = tab.A_ex, tab.A_im
     stage_q = [None] * s
     stage_n = [None] * s
     stage_g = [None] * s
@@ -214,33 +213,31 @@ def step(pair, q, t, dt, tab):
             )
         return stage_g[j]
 
-    for i in range(s):
+    def weighted_sum(w_ex, w_im):
+        """q + dt sum_j (w_ex[j] N_j + w_im[j] G_j), added term by term in
+        stage order; a zero weight skips its term, so an explicit tendency
+        no weight uses is never evaluated."""
         r = q
-        for j in range(i):
-            if A_ex[i, j] != 0.0:
-                r = r + (dt * A_ex[i, j]) * explicit(j)
-            if A_im[i, j] != 0.0:
-                r = r + (dt * A_im[i, j]) * implicit(j)
-        shift = A_im[i, i]
+        for j, (a_ex, a_im) in enumerate(zip(w_ex, w_im)):
+            if a_ex != 0.0:
+                r = r + (dt * a_ex) * explicit(j)
+            if a_im != 0.0:
+                r = r + (dt * a_im) * implicit(j)
+        return r
+
+    for i in range(s):
+        r = None  # free the last stage's right-hand side before this one is summed
+        r = weighted_sum(tab.A_ex[i, :i], tab.A_im[i, :i])
+        shift = tab.A_im[i, i]
         if shift != 0.0:
             try:
                 stage_q[i] = pair.implicit_solve(shift * dt, r)
             except SolverFailureError as exc:
-                raise SolverFailureError(
-                    f"stage {i} of {tab.name}: {exc}",
-                    residual=exc.residual,
-                    iterations=exc.iterations,
-                ) from exc
+                raise exc.with_context(f"stage {i} of {tab.name}") from exc
             stage_g[i] = (stage_q[i] - r) * (1.0 / (shift * dt))
         else:
             stage_q[i] = r
 
     if tab.stiffly_accurate:
         return stage_q[s - 1]
-    out = q
-    for j in range(s):
-        if tab.b_ex[j] != 0.0:
-            out = out + (dt * tab.b_ex[j]) * explicit(j)
-        if tab.b_im[j] != 0.0:
-            out = out + (dt * tab.b_im[j]) * implicit(j)
-    return out
+    return weighted_sum(tab.b_ex, tab.b_im)

@@ -54,7 +54,12 @@ class Mesh:
 
     @property
     def num_faces(self):
-        return _line_faces(self.nx, self.bc_x) * self.ny + _line_faces(self.ny, self.bc_y) * self.nx
+        return self.num_vertical_faces + _line_faces(self.ny, self.bc_y) * self.nx
+
+    @property
+    def num_vertical_faces(self):
+        """The faces normal to x, numbered before the horizontal ones."""
+        return _line_faces(self.nx, self.bc_x) * self.ny
 
 
 def _line_faces(cells, bc):

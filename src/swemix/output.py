@@ -7,7 +7,7 @@ Numbers are printed with 17 significant digits so files round-trip float64
 exactly and repeated runs are byte-identical.
 
 The POINTS, CELLS and CELL_TYPES sections depend only on the mesh and the
-basis, so they are formatted once and reused while later snapshots pass the
+basis, so they are formatted once and reused while later snapshots carry the
 same mesh and basis objects.  Only the last mesh's geometry is kept (1.2 MB
 of text for 64 x 64 elements at p = 2 on the unit square); it stays in
 memory, with that mesh and basis, until a snapshot of another mesh or
@@ -22,7 +22,6 @@ import os
 
 import numpy as np
 
-from .errors import InvalidArgumentError
 from .mesh import gll_node_coords
 
 # rows formatted per string; bounds the text held at once
@@ -68,17 +67,11 @@ def _geometry(mesh, basis):
     )
 
 
-def write_vtk(field, mesh, basis, path, phi_bar, title="swemix snapshot"):
-    """Write one state snapshot as a legacy ASCII VTK unstructured grid.
-
-    ``title`` is the header line: at most 256 printable ASCII characters.
-    It is checked before anything is created, so a bad one leaves no file.
-    """
+def write_vtk(field, path, phi_bar):
+    """Write one state snapshot as a legacy ASCII VTK unstructured grid, on
+    the mesh and basis the field carries; returns ``path``."""
     global _cached
-    if not (title.isascii() and title.isprintable() and len(title) <= 256):
-        raise InvalidArgumentError(
-            f"VTK title must be one line of at most 256 printable ASCII characters, got {title!r}"
-        )
+    mesh, basis = field.mesh, field.basis
     if _cached is None or _cached[0] is not mesh or _cached[1] is not basis:
         _cached = (mesh, basis, _geometry(mesh, basis))
     flat = field.data.reshape(-1, 3)
@@ -87,7 +80,7 @@ def write_vtk(field, mesh, basis, path, phi_bar, title="swemix snapshot"):
     parent = os.path.dirname(os.path.abspath(path))
     os.makedirs(parent, exist_ok=True)
     with open(path, "wb") as fh:
-        fh.write(f"# vtk DataFile Version 3.0\n{title}\nASCII\nDATASET UNSTRUCTURED_GRID\n".encode("ascii"))
+        fh.write(b"# vtk DataFile Version 3.0\nswemix snapshot\nASCII\nDATASET UNSTRUCTURED_GRID\n")
         fh.write(_cached[2])
         fh.write(f"POINT_DATA {len(flat)}\nSCALARS phi_prime double\nLOOKUP_TABLE default\n".encode("ascii"))
         fh.writelines(_rows("%.17g\n", flat[:, 0]))

@@ -65,17 +65,6 @@ def flux_full(q, params):
     return flux
 
 
-def flux_linear(q, params):
-    """Linear gravity-wave flux: continuity (U, V), momentum pressure phi_bar*phi'."""
-    q = np.asarray(q, dtype=float)
-    flux = np.zeros(q.shape[:-1] + (2, 3))
-    flux[..., 0, PHI] = q[..., MX]
-    flux[..., 0, MX] = params.phi_bar * q[..., PHI]
-    flux[..., 1, PHI] = q[..., MY]
-    flux[..., 1, MY] = params.phi_bar * q[..., PHI]
-    return flux
-
-
 def flux_nonlinear(q, params):
     """Nonlinear remainder flux: advection plus the quadratic pressure tail.
 

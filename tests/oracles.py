@@ -15,7 +15,7 @@ import scipy.sparse
 
 from swemix.basis import element_operators
 from swemix.mesh import EAST, NORTH, PERIODIC, SIDE_NORMALS, SOUTH, WEST, gll_node_coords
-from swemix.swe import flux_full, flux_linear, flux_nonlinear, source
+from swemix.swe import flux_full, flux_nonlinear, source
 
 
 # --- Lagrange basis helpers ---------------------------------------------------
@@ -351,6 +351,18 @@ def face_path_tendency(mesh, basis, data, t, params, extra_source=None, full=Fal
 
 # --- Finite-difference PDE residual -------------------------------------------
 
+def flux_linear(q, params):
+    """Linear gravity-wave flux, shape (..., 2, 3): continuity (U, V),
+    momentum pressure phi_bar*phi'."""
+    q = np.asarray(q, dtype=float)
+    flux = np.zeros(q.shape[:-1] + (2, 3))
+    flux[..., 0, 0] = q[..., 1]
+    flux[..., 0, 1] = params.phi_bar * q[..., 0]
+    flux[..., 1, 0] = q[..., 2]
+    flux[..., 1, 2] = params.phi_bar * q[..., 0]
+    return flux
+
+
 def fd_pde_residual(exact, params, x, y, t, eps=1e-6, linear=False, mms_source=None):
     """Central-difference residual of d/dt q + div F - S at the given points."""
     flux = flux_linear if linear else flux_full
@@ -475,9 +487,10 @@ def trace_matrix(blocks, mesh, basis):
 
 # --- Legacy VTK writer and reader ---------------------------------------------
 
-def write_vtk_loop(field, mesh, basis, path, phi_bar, title="swemix snapshot"):
+def write_vtk_loop(field, path, phi_bar):
     """The VTK snapshot written one value at a time: the byte-for-byte
     reference for ``swemix.output.write_vtk``."""
+    mesh, basis = field.mesh, field.basis
 
     def fmt(value):
         return f"{value:.17g}"
@@ -487,7 +500,7 @@ def write_vtk_loop(field, mesh, basis, path, phi_bar, title="swemix snapshot"):
     npoints = coords.shape[0]
     ncells = mesh.num_elements * basis.order**2
 
-    lines = ["# vtk DataFile Version 3.0", title, "ASCII", "DATASET UNSTRUCTURED_GRID"]
+    lines = ["# vtk DataFile Version 3.0", "swemix snapshot", "ASCII", "DATASET UNSTRUCTURED_GRID"]
     lines.append(f"POINTS {npoints} double")
     for x, y in coords:
         lines.append(f"{fmt(x)} {fmt(y)} 0")

@@ -11,10 +11,11 @@ from swemix.swe import ModelParams
 
 
 def test_standing_wave_satisfies_linear_system():
-    case = standing_wave(ModelParams(phi_bar=1.3), amplitude=0.005)
+    params = ModelParams(phi_bar=1.3)
+    case = standing_wave(params, amplitude=0.005)
     rng = np.random.default_rng(0)
     x, y, t = (rng.uniform(0.05, 0.95, 100) for _ in range(3))
-    res = oracles.fd_pde_residual(case.exact_solution, case.params, x, y, t, linear=True)
+    res = oracles.fd_pde_residual(case.exact_solution, params, x, y, t, linear=True)
     assert np.max(np.abs(res)) < 1e-7
 
 
@@ -52,11 +53,12 @@ def test_initial_state_matches_exact_at_t0():
 
 
 def test_lake_at_rest_zero_tendency():
-    case = lake_at_rest(ModelParams(phi_bar=1.0, f0=0.5, drag=0.1))
+    params = ModelParams(phi_bar=1.0, f0=0.5, drag=0.1)
+    case = lake_at_rest(params)
     mesh = build_structured(3, 3, case.bounds, case.bc_x, case.bc_y)
     basis = nodal_basis(2)
     field = nodal_field(mesh, basis, case.initial_state)
-    tend = ExplicitOperator(mesh, basis).tendency(field.data, 0.0, case.params)
+    tend = ExplicitOperator(mesh, basis).tendency(field.data, 0.0, params)
     assert np.max(np.abs(tend)) < 1e-13
 
 
@@ -110,7 +112,8 @@ def test_mms_amplitude_guard():
 
 def test_make_case_registry():
     assert make_case("lake_at_rest").name == "lake_at_rest"
-    assert make_case("standing_wave", ModelParams(phi_bar=1.0), 0.002).amplitude == 0.002
+    # the amplitude given is the initial phi' at the corner (0, 0)
+    assert make_case("standing_wave", ModelParams(phi_bar=1.0), 0.002).initial_state(0.0, 0.0)[0] == 0.002
     with pytest.raises(InvalidArgumentError):
         make_case("tsunami")
 

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -160,17 +162,46 @@ def test_forward_euler_closed_form():
     assert abs(y1 - 0.9) < 1e-15
 
 
-def test_forcing_sampled_at_stage_times():
+# the explicit stages whose tendency some weight of each scheme uses
+USED_EXPLICIT_STAGES = {"ars111": [0], "ars222": [0, 1], "ars233": [0, 1, 2]}
+
+
+@pytest.mark.parametrize("name", sorted(USED_EXPLICIT_STAGES))
+def test_forcing_sampled_at_stage_times(name):
+    # each explicit tendency is evaluated once, at its stage time, and only
+    # if a later stage's row or a final weight of a scheme that is not
+    # stiffly accurate uses it; only ars233 uses its last stage's
     sampled = []
 
     def f(t):
         sampled.append(t)
         return 0.0
 
-    tab = tableau("ars222")
+    tab = tableau(name)
     step(ForcedExplicit(f), 0.0, 2.0, 0.5, tab)
-    expected = [2.0 + c * 0.5 for c in tab.c_ex[:2]]  # stages 0 and 1 feed stage rhs
-    assert sampled == expected
+    assert sampled == [2.0 + tab.c_ex[j] * 0.5 for j in USED_EXPLICIT_STAGES[name]]
+
+
+@pytest.mark.parametrize("name", ["ars222", "ars233"])
+def test_stage_rhs_released_before_the_next_is_summed(name):
+    # a right-hand side still held while the next one is summed costs one
+    # state array of peak memory; explicit tendencies 0 and 1 are formed
+    # while stages 1 and 2 are summed
+    class Watching:
+        def __init__(self):
+            self.rhs, self.alive = [], []
+
+        def explicit_tendency(self, y, t):
+            self.alive.append(sum(ref() is not None for ref in self.rhs))
+            return -y
+
+        def implicit_solve(self, shift, r):
+            self.rhs.append(weakref.ref(r))
+            return r / (1.0 + shift)
+
+    pair = Watching()
+    step(pair, np.ones(4), 0.0, 0.1, tableau(name))
+    assert pair.alive[:2] == [0, 0]
 
 
 def test_ars222_additive_order_two():

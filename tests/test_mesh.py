@@ -9,6 +9,7 @@ import oracles
 from swemix.errors import InvalidArgumentError
 from swemix.mesh import (
     EAST,
+    NORTH,
     PERIODIC,
     SOUTH,
     WALL,
@@ -137,6 +138,10 @@ def test_mesh_invariants(nx, ny, bcx, bcy):
     nx_faces = (nx if bcx == PERIODIC else nx + 1) * ny
     ny_faces = (ny if bcy == PERIODIC else ny + 1) * nx
     assert mesh.num_faces == nx_faces + ny_faces
+    # the faces normal to x are numbered first
+    assert mesh.num_vertical_faces == nx_faces
+    sides = mesh.elem_faces
+    assert sides[:, [EAST, WEST]].max() < nx_faces <= sides[:, [SOUTH, NORTH]].min()
     if bcx == PERIODIC and bcy == PERIODIC:
         assert interior == mesh.num_faces
     # area

@@ -7,7 +7,6 @@ from swemix.basis import nodal_basis
 from swemix.config import parse_text
 from swemix.dg import StateField, nodal_field
 from swemix.driver import run
-from swemix.errors import InvalidArgumentError
 from swemix.mesh import build_structured, gll_node_coords
 from swemix.output import CsvSeriesWriter, write_vtk
 
@@ -18,7 +17,7 @@ def test_vtk_single_element_p1(tmp_path):
     mesh = build_structured(1, 1, BOUNDS, "wall", "wall")
     basis = nodal_basis(1)
     field = StateField(np.zeros((1, 2, 2, 3)), mesh, basis)
-    path = write_vtk(field, mesh, basis, str(tmp_path / "snap.vtk"), phi_bar=1.0)
+    path = write_vtk(field, str(tmp_path / "snap.vtk"), phi_bar=1.0)
     text = open(path).read().splitlines()
     assert text[0] == "# vtk DataFile Version 3.0"
     assert text[2] == "ASCII"
@@ -33,7 +32,7 @@ def test_vtk_counts(tmp_path, nx, ny, p):
     mesh = build_structured(nx, ny, BOUNDS, "wall", "wall")
     basis = nodal_basis(p)
     data = np.zeros((mesh.num_elements, p + 1, p + 1, 3))
-    path = write_vtk(StateField(data, mesh, basis), mesh, basis, str(tmp_path / "c.vtk"), 1.0)
+    path = write_vtk(StateField(data, mesh, basis), str(tmp_path / "c.vtk"), 1.0)
     text = open(path).read()
     assert f"POINTS {mesh.num_elements * (p + 1) ** 2} double" in text
     ncells = mesh.num_elements * p**2
@@ -47,7 +46,7 @@ def test_vtk_roundtrip(tmp_path):
     data = rng.uniform(-0.3, 0.3, size=(6, 3, 3, 3))
     field = StateField(data, mesh, basis)
     phi_bar = 1.7
-    path = write_vtk(field, mesh, basis, str(tmp_path / "r.vtk"), phi_bar)
+    path = write_vtk(field, str(tmp_path / "r.vtk"), phi_bar)
     pts, phi, vel = oracles.read_vtk_point_data(path)
     ref_pts = gll_node_coords(mesh, basis).reshape(-1, 2)
     assert np.allclose(pts[:, :2], ref_pts, rtol=1e-15, atol=0)
@@ -60,23 +59,23 @@ def test_vtk_roundtrip(tmp_path):
 @pytest.mark.parametrize("bc", ["wall", "periodic"])
 def test_vtk_matches_per_value_writer(tmp_path, bc):
     # the vectorized writer must produce exactly the bytes of the loop that
-    # formats one value at a time, signed zeros and a custom title included
+    # formats one value at a time, signed zeros included
     mesh = build_structured(3, 2, BOUNDS, bc, "wall")
     basis = nodal_basis(2)
     rng = np.random.default_rng(5)
     data = rng.standard_normal((6, 3, 3, 3)) * 10.0 ** rng.integers(-20, 20, size=(6, 3, 3, 3))
     data[0, 0, 0] = [0.0, -0.0, 0.0]
     field = StateField(data, mesh, basis)
-    new = write_vtk(field, mesh, basis, str(tmp_path / "new.vtk"), 1.3, title="t 100%")
-    old = oracles.write_vtk_loop(field, mesh, basis, str(tmp_path / "old.vtk"), 1.3, title="t 100%")
+    new = write_vtk(field, str(tmp_path / "new.vtk"), 1.3)
+    old = oracles.write_vtk_loop(field, str(tmp_path / "old.vtk"), 1.3)
     assert open(new, "rb").read() == open(old, "rb").read()
 
 
-def _assert_matches_loop(tmp_path, mesh, basis, seed, title="swemix snapshot"):
+def _assert_matches_loop(tmp_path, mesh, basis, seed):
     rng = np.random.default_rng(seed)
     field = StateField(rng.uniform(-0.3, 0.3, (mesh.num_elements, basis.n, basis.n, 3)), mesh, basis)
-    new = write_vtk(field, mesh, basis, str(tmp_path / "new.vtk"), 1.1, title=title)
-    old = oracles.write_vtk_loop(field, mesh, basis, str(tmp_path / "old.vtk"), 1.1, title=title)
+    new = write_vtk(field, str(tmp_path / "new.vtk"), 1.1)
+    old = oracles.write_vtk_loop(field, str(tmp_path / "old.vtk"), 1.1)
     assert open(new, "rb").read() == open(old, "rb").read()
 
 
@@ -96,7 +95,7 @@ def test_vtk_cache_follows_mesh_and_basis(tmp_path, monkeypatch):
     bases = [nodal_basis(1), nodal_basis(3)]
     order = [(0, 0), (0, 0), (1, 0), (1, 1), (1, 1), (0, 1), (0, 0), (1, 1), (0, 0)]
     for seed, (m, b) in enumerate(order):
-        _assert_matches_loop(tmp_path, meshes[m], bases[b], seed, title=f"write {seed}")
+        _assert_matches_loop(tmp_path, meshes[m], bases[b], seed)
     assert len(calls) == 7
 
 
@@ -121,21 +120,6 @@ def test_run_formats_geometry_once(tmp_path, monkeypatch):
         assert len(calls) == n + 1
 
 
-@pytest.mark.parametrize("title", ["two\nlines", "carriage\rreturn", "caf\u00e9", "x" * 257])
-def test_vtk_bad_title_leaves_no_file(tmp_path, title):
-    mesh = build_structured(1, 1, BOUNDS, "wall", "wall")
-    basis = nodal_basis(1)
-    field = StateField(np.zeros((1, 2, 2, 3)), mesh, basis)
-    path = tmp_path / "sub" / "bad.vtk"
-    with pytest.raises(InvalidArgumentError, match="VTK title"):
-        write_vtk(field, mesh, basis, str(path), 1.0, title=title)
-    assert not (tmp_path / "sub").exists()
-
-
-def test_vtk_longest_title(tmp_path):
-    _assert_matches_loop(tmp_path, build_structured(1, 1, BOUNDS, "wall", "wall"), nodal_basis(1), 0, "t" * 256)
-
-
 def test_vtk_unwritable_path(tmp_path):
     mesh = build_structured(1, 1, BOUNDS, "wall", "wall")
     basis = nodal_basis(1)
@@ -143,7 +127,7 @@ def test_vtk_unwritable_path(tmp_path):
     blocker = tmp_path / "blocker"
     blocker.write_text("file, not a directory")
     with pytest.raises(OSError):
-        write_vtk(field, mesh, basis, str(blocker / "x.vtk"), 1.0)
+        write_vtk(field, str(blocker / "x.vtk"), 1.0)
 
 
 def test_csv_writer_deterministic(tmp_path):

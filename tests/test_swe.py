@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import flux_linear
 from swemix.errors import DryStateError, InvalidArgumentError
-from swemix.swe import ModelParams, flux_full, flux_linear, flux_nonlinear, source
+from swemix.swe import ModelParams, flux_full, flux_nonlinear, source
 
 P1 = ModelParams(phi_bar=1.0)
 
