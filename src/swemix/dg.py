@@ -58,9 +58,6 @@ class StateField:
     mesh: object
     basis: object
 
-    def zeros_like(self):
-        return StateField(np.zeros_like(self.data), self.mesh, self.basis)
-
     def __add__(self, other):
         return StateField(self.data + other.data, self.mesh, self.basis)
 

@@ -30,8 +30,10 @@ class SplitOperator:
 
     ``linear_mode`` zeroes the explicit operator entirely, leaving the pure
     implicit gravity-wave discretization (used to isolate spatial HDG
-    accuracy).  ``extra_source`` is an optional (x, y, t) -> 3-vector added
-    on the explicit side; manufactured-solution cases inject their residual
+    accuracy): ``explicit_tendency`` returns None, which the IMEX stepper
+    reads as an identically zero tendency, so no explicit field is formed.
+    ``extra_source`` is an optional (x, y, t) -> 3-vector added on the
+    explicit side; manufactured-solution cases inject their residual
     through it.
 
     Without a solver ``bank`` the pair is the explicit control: the
@@ -51,7 +53,7 @@ class SplitOperator:
 
     def explicit_tendency(self, q, t):
         if self.linear_mode:
-            return q.zeros_like()
+            return None
         out = self.dg_op.tendency(
             q.data, t, self.params, extra_source=self.extra_source, full=self.full_flux
         )

@@ -48,7 +48,7 @@ import scipy.sparse.linalg
 from .basis import element_operators
 from .dg import StateField
 from .errors import AssemblyError, InvalidArgumentError, SolverFailureError
-from .mesh import PERIODIC, SIDE_NORMALS
+from .mesh import PERIODIC, SIDE_NORMALS, _line_faces
 
 BACKENDS = ("direct", "gmres")  # trace solvers of condense_and_factor
 
@@ -152,7 +152,7 @@ class CondensedSystem:
     at set-up.  No backend assembles H.  ``stored_bytes`` counts the arrays
     the trace solve holds: the inverse mode blocks and the wall-axis
     transform matrices (a periodic axis holds none), or the block-Jacobi
-    inverse."""
+    inverses of the face positions."""
 
     blocks: LocalBlocks
     elem_trace_ids: np.ndarray
@@ -326,8 +326,11 @@ def condense_and_factor(blocks, mesh, basis, backend="direct", rel_tol=1e-10, ma
     cosine/sine GEMMs along a wall axis.  The gmres backend applies H as
     sum_K P_K^T S P_K, S the element Schur block and P_K the gather of the
     element's trace dofs, and runs restarted GMRES to ``rel_tol`` with a
-    per-face block-Jacobi preconditioner; ``max_iter`` counts restart
-    cycles.
+    block-Jacobi preconditioner; ``max_iter`` counts restart cycles.  A
+    face's block depends only on its family and its position along the
+    line, so the preconditioner holds one inverse per face position
+    (:func:`_family_preconditioner`), at most six, and applies each family
+    by GEMM.
     """
     if backend not in BACKENDS:
         raise InvalidArgumentError(f"unknown solver backend {backend!r}")
@@ -343,10 +346,9 @@ def condense_and_factor(blocks, mesh, basis, backend="direct", rel_tol=1e-10, ma
         return np.bincount(flat, weights=(v[ids] @ schur_t).ravel(), minlength=ndof)
 
     inv = _block_jacobi(blocks.schur, num_faces, n1, mesh.elem_faces)
+    apply_inv, stored = _family_preconditioner(inv, mesh)
     H = scipy.sparse.linalg.LinearOperator((ndof, ndof), matvec=apply, dtype=float)
-    precond = scipy.sparse.linalg.LinearOperator(
-        H.shape, matvec=lambda v: np.einsum("fij,fj->fi", inv, v.reshape(num_faces, n1)).reshape(-1)
-    )
+    precond = scipy.sparse.linalg.LinearOperator(H.shape, matvec=apply_inv, dtype=float)
 
     def solve(g):
         lam, info = scipy.sparse.linalg.gmres(
@@ -361,7 +363,7 @@ def condense_and_factor(blocks, mesh, basis, backend="direct", rel_tol=1e-10, ma
             )
         return lam
 
-    return CondensedSystem(blocks=blocks, elem_trace_ids=ids, solve=solve, stored_bytes=inv.nbytes)
+    return CondensedSystem(blocks=blocks, elem_trace_ids=ids, solve=solve, stored_bytes=stored)
 
 
 def _block_jacobi(schur, num_faces, n1, elem_faces):
@@ -380,6 +382,46 @@ def _block_jacobi(schur, num_faces, n1, elem_faces):
         return np.linalg.inv(blocks.reshape(num_faces, n1, n1))
     except np.linalg.LinAlgError as exc:
         raise AssemblyError("singular face block in preconditioner") from exc
+
+
+def _family_preconditioner(inv, mesh):
+    """Apply the per-face inverse blocks ``inv`` of :func:`_block_jacobi`
+    from the few that differ.  Returns the apply and the bytes it holds.
+
+    Every element shares one Schur block, so a face's block depends only on
+    its family and its position along the line: the interior faces of a
+    family share one, and on a wall axis each end face has its own.  Each
+    family is applied as one GEMM with the interior block on its
+    (lines * faces, p+1) view, and the two end faces of a wall axis are
+    redone with theirs.  The blocks are copied out by position, so ``inv``
+    itself is not held.
+    """
+    n1 = inv.shape[-1]
+    nfx, nfy = _line_faces(mesh.nx, mesh.bc_x), _line_faces(mesh.ny, mesh.bc_y)
+    families = []
+    # each family as (lines before, positions, lines after): vertical faces
+    # by y-row, then x-line; horizontal ones by y-line, then x-column
+    for first, shape, bc in ((0, (mesh.ny, nfx, 1), mesh.bc_x),
+                             (mesh.num_vertical_faces, (1, nfy, mesh.nx), mesh.bc_y)):
+        # the interior block, then a wall axis's low and high end; a
+        # one-cell wall axis has no interior face, and its high end stands
+        # in, as the redone ends are all its faces
+        at = np.array([0] if bc == PERIODIC else [1, 0, shape[1] - 1])
+        dofs = slice(first * n1, (first + np.prod(shape)) * n1)
+        families.append((dofs, shape + (n1,), inv[first + at * shape[2]]))
+
+    def apply(v):
+        v = v.reshape(-1)
+        out = np.empty_like(v)
+        for dofs, shape, held in families:
+            vf, of = v[dofs].reshape(shape), out[dofs].reshape(shape)
+            np.matmul(vf.reshape(-1, n1), held[0].T, out=of.reshape(-1, n1))
+            if len(held) > 1:
+                of[:, 0] = vf[:, 0] @ held[1].T
+                of[:, -1] = vf[:, -1] @ held[2].T
+        return out
+
+    return apply, sum(held.nbytes for _, _, held in families)
 
 
 def implicit_solve(system, rhs_field):

@@ -12,12 +12,14 @@ The stepper is generic over a "split operator pair": any object with
     implicit_solve(shift, r)     -> q solving  q - shift * G(q) = r
 
 States only need +, -, and scalar multiplication, so plain numbers, numpy
-arrays, and StateField all work.  After an implicit stage the stiff
-tendency is recovered algebraically as (Q - r) / shift instead of
-reapplying the operator, which keeps it exactly consistent with the
-solver's view of the operator.  A tableau may therefore never weight the
-stiff tendency of a stage with a zero implicit diagonal; the shipped ARS
-tableaux never do.
+arrays, and StateField all work.  An explicit tendency of None means N is
+identically zero there, and the stepper adds no term for it.  After an
+implicit stage the stiff tendency is recovered algebraically as
+(Q - r) / shift instead of reapplying the operator, which keeps it
+exactly consistent with the solver's view of the operator; it is formed
+only if a later row or a final weight reads it.  A tableau may therefore
+never weight the stiff tendency of a stage with a zero implicit diagonal;
+the shipped ARS tableaux never do.
 """
 
 from dataclasses import dataclass
@@ -56,6 +58,13 @@ class ImexTableau:
         """The last row of each A is its b, so the step's result is the last
         stage."""
         return bool(np.array_equal(self.A_ex[-1], self.b_ex) and np.array_equal(self.A_im[-1], self.b_im))
+
+    @cached_property
+    def stiff_read(self):
+        """Per stage, whether a later row or, unless the scheme is stiffly
+        accurate, a final weight reads its stiff tendency."""
+        final = np.zeros(self.stages, bool) if self.stiffly_accurate else self.b_im != 0.0
+        return np.tril(self.A_im, -1).any(axis=0) | final
 
     def validate(self):
         """Check the structural invariants; raise InvalidArgumentError on failure."""
@@ -197,11 +206,11 @@ def step(pair, q, t, dt, tab):
     """Advance one IMEX step of size dt from state q at time t."""
     s = tab.stages
     stage_q = [None] * s
-    stage_n = [None] * s
+    stage_n = {}
     stage_g = [None] * s
 
     def explicit(j):
-        if stage_n[j] is None:
+        if j not in stage_n:
             stage_n[j] = pair.explicit_tendency(stage_q[j], t + tab.c_ex[j] * dt)
         return stage_n[j]
 
@@ -216,11 +225,12 @@ def step(pair, q, t, dt, tab):
     def weighted_sum(w_ex, w_im):
         """q + dt sum_j (w_ex[j] N_j + w_im[j] G_j), added term by term in
         stage order; a zero weight skips its term, so an explicit tendency
-        no weight uses is never evaluated."""
+        no weight uses is never evaluated, and so does a None tendency."""
         r = q
         for j, (a_ex, a_im) in enumerate(zip(w_ex, w_im)):
-            if a_ex != 0.0:
-                r = r + (dt * a_ex) * explicit(j)
+            n = explicit(j) if a_ex != 0.0 else None
+            if n is not None:
+                r = r + (dt * a_ex) * n
             if a_im != 0.0:
                 r = r + (dt * a_im) * implicit(j)
         return r
@@ -234,7 +244,8 @@ def step(pair, q, t, dt, tab):
                 stage_q[i] = pair.implicit_solve(shift * dt, r)
             except SolverFailureError as exc:
                 raise exc.with_context(f"stage {i} of {tab.name}") from exc
-            stage_g[i] = (stage_q[i] - r) * (1.0 / (shift * dt))
+            if tab.stiff_read[i]:
+                stage_g[i] = (stage_q[i] - r) * (1.0 / (shift * dt))
         else:
             stage_q[i] = r
 

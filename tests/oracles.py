@@ -7,7 +7,8 @@ GLL node coordinates (which have their own analytic tests).  The one
 exceptions are ``face_path_tendency``, which checks only the face path of
 the explicit tendency and so takes the element operators as given, and
 ``trace_matrix``, which takes the element Schur block as given and checks
-the trace solves that start from it.
+the trace solves that start from it.  ``imex_step_every_stage`` is the
+IMEX tableau formula written out stage by stage.
 """
 
 import numpy as np
@@ -547,3 +548,30 @@ def read_vtk_point_data(path):
     vidx = next(i for i, l in enumerate(tokens) if l.startswith("VECTORS velocity"))
     vel = np.array([[float(v) for v in tokens[vidx + 1 + k].split()] for k in range(npoints)])
     return pts, phi, vel
+
+
+# --- IMEX stage loop ----------------------------------------------------------
+
+def imex_step_every_stage(pair, q, t, dt, tab):
+    """One step of the tableau ``tab``, forming every stage's explicit
+    tendency and every implicit stage's stiff tendency (Q - r) / (a dt),
+    whether or not a weight reads it.  The terms of nonzero weights are
+    added in stage order."""
+    Q, N, G = [], [], []
+
+    def combine(w_ex, w_im):
+        r = q
+        for j, (a_ex, a_im) in enumerate(zip(w_ex, w_im)):
+            if a_ex != 0.0:
+                r = r + (dt * a_ex) * N[j]
+            if a_im != 0.0:
+                r = r + (dt * a_im) * G[j]
+        return r
+
+    for i in range(tab.stages):
+        r = combine(tab.A_ex[i, :i], tab.A_im[i, :i])
+        shift = tab.A_im[i, i] * dt
+        Q.append(pair.implicit_solve(shift, r) if shift != 0.0 else r)
+        G.append((Q[i] - r) * (1.0 / shift) if shift != 0.0 else None)
+        N.append(pair.explicit_tendency(Q[i], t + tab.c_ex[i] * dt))
+    return Q[-1] if tab.stiffly_accurate else combine(tab.b_ex, tab.b_im)

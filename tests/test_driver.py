@@ -8,7 +8,7 @@ from swemix import hdg, imex
 from swemix.basis import nodal_basis
 from swemix.cases import l2_error
 from swemix.config import CaseConfig, Config, parse_text
-from swemix.dg import ExplicitOperator, nodal_field
+from swemix.dg import ExplicitOperator, StateField, nodal_field
 from swemix.driver import (
     SplitOperator,
     build_simulation,
@@ -233,6 +233,8 @@ def test_mass_and_energy_proxies():
 
 
 def test_linear_mode_zeroes_explicit_side():
+    # None is the pair protocol's identically zero tendency: linear mode
+    # forms no explicit field at all
     params = ModelParams(phi_bar=1.0)
     mesh = build_structured(2, 2, (0.0, 1.0, 0.0, 1.0), "wall", "wall")
     basis = nodal_basis(1)
@@ -240,8 +242,50 @@ def test_linear_mode_zeroes_explicit_side():
     pair = SplitOperator(ExplicitOperator(mesh, basis), bank, params, linear_mode=True)
     q = nodal_field(mesh, basis, lambda x, y: np.stack(
         [0.2 * x, 0.1 * y, 0.0 * x], axis=-1))
-    n = pair.explicit_tendency(q, 0.0)
-    assert np.array_equal(n.data, np.zeros_like(n.data))
+    assert pair.explicit_tendency(q, 0.0) is None
+
+
+class _ZeroExplicit(SplitOperator):
+    """The linear-mode pair with its explicit side as an actual zero field."""
+
+    def explicit_tendency(self, q, t):
+        return StateField(np.zeros_like(q.data), q.mesh, q.basis)
+
+
+@pytest.mark.parametrize("scheme", ["ars111", "ars222", "ars233"])
+@pytest.mark.parametrize("bc", ["wall", "periodic"])
+def test_linear_mode_step_equals_a_zero_explicit_field(scheme, bc):
+    params = ModelParams(phi_bar=1.5)
+    mesh = build_structured(3, 2, (0.0, 1.0, 0.0, 1.0), bc, bc)
+    basis = nodal_basis(2)
+    args = (ExplicitOperator(mesh, basis), ImplicitSolverBank(mesh, basis, params), params)
+    linear = SplitOperator(*args, linear_mode=True)
+    zero = _ZeroExplicit(*args, linear_mode=True)
+    tab = imex.tableau(scheme)
+    q0 = StateField(np.random.default_rng(3).standard_normal((6, 3, 3, 3)), mesh, basis)
+    q = p = q0
+    for k in range(3):
+        q = imex.step(linear, q, 0.02 * k, 0.02, tab)
+        p = imex.step(zero, p, 0.02 * k, 0.02, tab)
+        assert np.array_equal(q.data, p.data), k
+    assert not np.array_equal(q.data, q0.data)
+
+
+@pytest.mark.parametrize("bcs", [("wall", "wall"), ("periodic", "wall"), ("wall", "periodic"),
+                                 ("periodic", "periodic")])
+def test_linear_run_agrees_between_backends(tmp_path, bcs):
+    # the gmres block-Jacobi blocks differ at the ends of a wall axis; a
+    # 5 x 3 mesh of a 2 x 1 domain gives both families interior and end
+    # faces, unequal counts and non-square elements
+    text = (
+        "case.name = standing_wave\ncase.linear_mode = true\ntime.scheme = ars233\n"
+        "time.dt = 0.01\ntime.t_final = 0.03\ndisc.order = 2\nmesh.nx = 5\nmesh.ny = 3\n"
+        f"mesh.xmax = 2.0\nmesh.bc_x = {bcs[0]}\nmesh.bc_y = {bcs[1]}\n"
+        f"output.dir = {tmp_path}\noutput.csv_series = false\n"
+    )
+    direct = run(_cfg(text), quiet=True).final_field.data
+    gmres = run(_cfg(text + "solver.backend = gmres\nsolver.rel_tol = 1e-12\n"), quiet=True).final_field.data
+    assert np.max(np.abs(gmres - direct)) <= 1e-9 * np.max(np.abs(direct))
 
 
 def test_explicit_only_operator_identity_solve():

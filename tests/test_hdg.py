@@ -17,6 +17,7 @@ from swemix.hdg import (
     condense_and_factor,
     implicit_solve,
     _block_jacobi,
+    _family_preconditioner,
     local_matrices,
     trace_modes,
 )
@@ -227,22 +228,25 @@ def test_stored_bytes_of_the_gmres_path():
     mesh = build_structured(5, 4, BOUNDS, WALL, WALL)
     basis = nodal_basis(2)
     blocks = assemble_local(mesh, basis, P2, 0.05, 1.0)
-    # H is applied element by element; only one 3 x 3 inverse per face of
-    # the 6 x 5 + 5 x 4 = 49 is held
-    assert condense_and_factor(blocks, mesh, basis, backend="gmres").stored_bytes == 8 * 49 * 9
+    # H is applied element by element; of the block-Jacobi inverses only
+    # one 3 x 3 block per face position is held: each family's interior
+    # block and its two wall ends, 6 in all (the 49 faces held 8 * 49 * 9)
+    assert condense_and_factor(blocks, mesh, basis, backend="gmres").stored_bytes == 8 * 6 * 9
 
 
 def test_trace_path_follows_boundary_kinds(monkeypatch):
     # on every boundary pair neither backend assembles H or factorizes a
-    # sparse matrix; gmres holds only the block-Jacobi inverse and its
-    # solve matches the direct one
+    # sparse matrix; gmres holds only the block-Jacobi inverses of its face
+    # positions, three per family on a wall axis and one on a periodic
+    # axis, and its solve matches the direct one
     _refuse_sparse_matrices(monkeypatch)
     basis = nodal_basis(2)
     for bcs in ALL_PAIRS:
         mesh = build_structured(3, 2, BOUNDS, *bcs)
         blocks = assemble_local(mesh, basis, P2, 0.05, 1.0)
         system = condense_and_factor(blocks, mesh, basis, backend="gmres")
-        assert system.stored_bytes == 8 * mesh.num_faces * basis.n**2, bcs
+        positions = sum(1 if bc == PERIODIC else 3 for bc in bcs)
+        assert system.stored_bytes == 8 * positions * basis.n**2, bcs
         r = _rand_field(mesh, basis)
         qd, _ = ImplicitSolverBank(mesh, basis, P2).solve(0.05, r)
         qg, _ = ImplicitSolverBank(mesh, basis, P2, backend="gmres", rel_tol=1e-12).solve(0.05, r)
@@ -265,6 +269,22 @@ def test_block_jacobi_inverts_the_face_blocks_of_H(bcs, shape):
         diag = H.reshape(mesh.num_faces, n1, mesh.num_faces, n1)[faces, :, faces]
         inv = _block_jacobi(blocks.schur, mesh.num_faces, n1, mesh.elem_faces)
         assert np.max(np.abs(inv @ diag - np.eye(n1))) <= 1e-13, alpha
+
+
+@pytest.mark.parametrize("bcs", ALL_PAIRS)
+@pytest.mark.parametrize("shape", [(1, 1), (1, 3), (3, 1), (3, 2), (5, 4)])
+def test_family_preconditioner_expands_to_the_face_blocks(bcs, shape):
+    # applied to node j of every face, the preconditioner returns column j
+    # of each face's inverse block, exactly: the few blocks it holds,
+    # expanded by position, are the per-face blocks bit for bit, one-cell
+    # periodic axes and their cross terms included
+    mesh = build_structured(*shape, BOUNDS, *bcs)
+    n1 = nodal_basis(2).n
+    blocks = assemble_local(mesh, nodal_basis(2), P2, 0.05, P2.wave_speed)
+    inv = _block_jacobi(blocks.schur, mesh.num_faces, n1, mesh.elem_faces)
+    apply, _ = _family_preconditioner(inv, mesh)
+    columns = [apply(np.tile(np.eye(n1)[j], mesh.num_faces)).reshape(-1, n1) for j in range(n1)]
+    assert np.array_equal(np.stack(columns, axis=-1), inv)
 
 
 def test_singular_symbol_raises_assembly_error():

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+
 from swemix.basis import nodal_basis
 from swemix.cases import lake_at_rest
 from swemix.dg import ExplicitOperator, StateField, nodal_field
@@ -202,6 +204,62 @@ def test_stage_rhs_released_before_the_next_is_summed(name):
     pair = Watching()
     step(pair, np.ones(4), 0.0, 0.1, tableau(name))
     assert pair.alive[:2] == [0, 0]
+
+
+class Counted:
+    """An array state that counts the subtractions made on it."""
+
+    subtractions = 0
+
+    def __init__(self, a):
+        self.a = a
+
+    def __add__(self, other):
+        return Counted(self.a + other.a)
+
+    def __sub__(self, other):
+        Counted.subtractions += 1
+        return Counted(self.a - other.a)
+
+    def __mul__(self, c):
+        return Counted(self.a * c)
+
+    __rmul__ = __mul__
+
+
+class CountedSplit:
+    """y' = L y + E y + sin t on Counted states."""
+
+    def __init__(self):
+        self.L = np.array([[-2.0, 1.0], [0.5, -3.0]])
+        self.E = np.array([[0.0, 0.3], [-0.3, 0.1]])
+
+    def explicit_tendency(self, y, t):
+        return Counted(self.E @ y.a + np.sin(t))
+
+    def implicit_solve(self, shift, r):
+        return Counted(np.linalg.solve(np.eye(2) - shift * self.L, r.a))
+
+
+# the stages whose stiff tendency a later row, or a final weight of a scheme
+# that is not stiffly accurate, reads: not the last of ars111 and ars222
+READ_STIFF_STAGES = {"ars111": 0, "ars222": 1, "ars233": 2}
+
+
+@pytest.mark.parametrize("name", sorted(READ_STIFF_STAGES))
+def test_unread_stiff_tendency_is_never_formed(name):
+    # the stepper subtracts (Q - r) only for the stiff tendencies it reads,
+    # and its steps equal the formula that forms every one of them
+    tab = tableau(name)
+    assert tab.stiff_read.sum() == READ_STIFF_STAGES[name]
+    pair = CountedSplit()
+    y = z = Counted(np.array([1.0, -0.5]))
+    for k in range(4):
+        Counted.subtractions = 0
+        y = step(pair, y, 0.1 * k, 0.1, tab)
+        assert Counted.subtractions == READ_STIFF_STAGES[name], k
+        z = oracles.imex_step_every_stage(pair, z, 0.1 * k, 0.1, tab)
+        assert np.array_equal(y.a, z.a), k
 
 
 def test_ars222_additive_order_two():
