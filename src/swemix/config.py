@@ -7,6 +7,7 @@ case's canonical choices when left unset; everything else has an explicit
 default below.
 """
 
+import math
 import os
 from dataclasses import dataclass, field, fields
 from typing import Optional
@@ -174,6 +175,11 @@ def load_config(path):
 
 def validate(cfg):
     """Cross-field validation; all referenced names must resolve now."""
+    for key, kind in _KEY_TYPES.items():
+        section, name = key.split(".", 1)
+        value = getattr(getattr(cfg, section), name)
+        if kind is float and value is not None and not math.isfinite(value):
+            raise InvalidValueError(key, f"must be finite, got {value!r}")
     for key in ("nx", "ny"):
         if getattr(cfg.mesh, key) < 1:
             raise InvalidValueError(f"mesh.{key}", f"element counts must be >= 1, got {cfg.mesh.nx}x{cfg.mesh.ny}")

@@ -31,9 +31,10 @@ wrapped face between cells n-1 and 0.  On a wall an end face sees its
 inner side in a mirror R that negates the normal momentum: the ghost
 state is R q, and since every wall is axis-aligned, F(R q).n =
 -R (F(q).n) exactly, so the ghost's normal flux is a sign flip of one
-the stage already holds.  Both face families go through one Rusanov
-call, in a fixed order, so results are deterministic.  A dry state is
-located by element only once the flux evaluation has raised.
+the stage already holds.  Each face family goes through its own Rusanov
+call, x then y, and is lifted into its two cells in that fixed order, so
+results are deterministic.  A dry state is located by element only once
+the flux evaluation has raised.
 """
 
 from dataclasses import dataclass
@@ -43,6 +44,7 @@ import numpy as np
 from . import swe
 from .basis import element_operators
 from .errors import DryStateError
+from .mesh import PERIODIC, gll_node_coords
 
 
 @dataclass
@@ -84,32 +86,31 @@ class StateField:
 
 def nodal_field(mesh, basis, fn):
     """Sample ``fn(x, y)`` at all element nodes."""
-    from .mesh import gll_node_coords
-
     xy = gll_node_coords(mesh, basis)
     return StateField(np.asarray(fn(xy[..., 0], xy[..., 1]), dtype=float), mesh, basis)
 
 
-def rusanov_flux(q_minus, q_plus, fn_minus, fn_plus, normal, params, full=False):
-    """Rusanov flux through a face with unit normal pointing from minus to plus.
+def rusanov_flux(q_minus, q_plus, fn_minus, fn_plus, axis, params, full=False):
+    """Rusanov flux through faces whose unit normal is +x (``axis`` 0) or
+    +y (``axis`` 1), pointing from the minus side to the plus side.
 
     ``fn_minus`` and ``fn_plus`` are the normal fluxes F(q).n of the two
-    states, both dotted with ``normal``.  By default F is the nonlinear
-    remainder, penalized with the advective speed max|u.n| only; ``full``
-    takes the complete flux and the full wave speed |u.n| + sqrt(phi).
-    Raises DryStateError if either side has a non-positive geopotential.
+    states, so u.n is the momentum along ``axis`` over phi.  By default F
+    is the nonlinear remainder, penalized with the advective speed
+    max|u.n| only; ``full`` takes the complete flux and the full wave
+    speed |u.n| + sqrt(phi).  Raises DryStateError if either side has a
+    non-positive geopotential.
     """
     q_minus = np.asarray(q_minus, dtype=float)
     q_plus = np.asarray(q_plus, dtype=float)
     fn_minus = np.asarray(fn_minus, dtype=float)
-    normal = np.asarray(normal, dtype=float)
     phi_minus = params.phi_bar + q_minus[..., swe.PHI]
     phi_plus = params.phi_bar + q_plus[..., swe.PHI]
     if np.any(phi_minus <= 0.0) or np.any(phi_plus <= 0.0):
         low = min(np.min(phi_minus), np.min(phi_plus))
         raise DryStateError(f"non-positive geopotential on a face (min {low:.3e})")
-    un_minus = (q_minus[..., swe.MX] * normal[..., 0] + q_minus[..., swe.MY] * normal[..., 1]) / phi_minus
-    un_plus = (q_plus[..., swe.MX] * normal[..., 0] + q_plus[..., swe.MY] * normal[..., 1]) / phi_plus
+    un_minus = q_minus[..., swe.MX + axis] / phi_minus
+    un_plus = q_plus[..., swe.MX + axis] / phi_plus
     smax = np.maximum(np.abs(un_minus), np.abs(un_plus))
     if full:
         smax = smax + np.sqrt(np.maximum(phi_minus, phi_plus))
@@ -167,8 +168,6 @@ class ExplicitOperator:
     """
 
     def __init__(self, mesh, basis):
-        from .mesh import PERIODIC, gll_node_coords
-
         self.mesh = mesh
         self.basis = basis
         ops = element_operators(basis, mesh.hx, mesh.hy)
@@ -180,22 +179,15 @@ class ExplicitOperator:
         self.weak = weak / ops.mass_diag[:, None]
         self.node_xy = gll_node_coords(mesh, basis)
 
-        # One face family per axis: a (lines, cells + 1) block of the face
-        # buffers, its wall mirror (-1 on the normal momentum) and its lift.
+        # One face family per axis: its (lines, cells + 1) face grid, its
+        # wall mirror (-1 on the normal momentum) and its lift.
         self.families = []
-        start = 0
         for axis, periodic, h, lines, cells in (
             (0, mesh.bc_x == PERIODIC, mesh.hx, mesh.ny, mesh.nx),
             (1, mesh.bc_y == PERIODIC, mesh.hy, mesh.nx, mesh.ny),
         ):
             mirror = None if periodic else np.where(np.arange(3) == swe.MX + axis, -1.0, 1.0)
-            stop = start + lines * (cells + 1)
-            self.families.append((slice(start, stop), (lines, cells + 1), mirror, 2.0 / (h * basis.weights[0])))
-            start = stop
-        # Per face node, so that the Rusanov u.n runs in contiguous passes.
-        self.normals = np.zeros((start, basis.n, 2))
-        for axis, (faces, *_) in enumerate(self.families):
-            self.normals[faces, :, axis] = 1.0
+            self.families.append(((lines, cells + 1), mirror, 2.0 / (h * basis.weights[0])))
 
     def tendency(self, data, t, params, extra_source=None, full=False):
         """Semi-discrete tendency for nodal data (nelem, p+1, p+1, 3);
@@ -210,26 +202,23 @@ class ExplicitOperator:
         resid = self.weak @ flux.reshape(nelem, -1, 3)
         grid = (self.mesh.ny, self.mesh.nx, n1, n1)
         q, flux = data.reshape(grid + (3,)), flux.reshape(grid + (2, 3))
-        # Both sides' states and normal fluxes at every face: q-, q+, F.n-, F.n+.
-        traces = np.empty((4, len(self.normals), n1, 3))
-        for axis, (faces, shape, mirror, _) in enumerate(self.families):
-            q_m, q_p, fn_m, fn_p = (row[faces].reshape(shape + (n1, 3)) for row in traces)
-            _fill_faces(q_m, q_p, *_ends(q, axis), mirror)
-            _fill_faces(fn_m, fn_p, *_ends(flux[..., axis, :], axis), None if mirror is None else -mirror)
-        del flux  # only the face values are needed from here on
-        fhat = rusanov_flux(*traces, self.normals, params, full)
-
-        # A cell's low end face flows in, its high end face out.  Summing with
-        # the x cells innermost beats the 3-value inner loops of a node column.
         out = resid.reshape(data.shape)
         lifted = out.reshape(grid + (3,))
-        for axis, (faces, shape, _, lift) in enumerate(self.families):
-            face_flux = fhat[faces].reshape(shape + (n1, 3))
+        for axis, (shape, mirror, lift) in enumerate(self.families):
+            # Both sides' states and normal fluxes at every face: q-, q+, F.n-, F.n+.
+            q_m, q_p, fn_m, fn_p = np.empty((4,) + shape + (n1, 3))
+            _fill_faces(q_m, q_p, *_ends(q, axis), mirror)
+            _fill_faces(fn_m, fn_p, *_ends(flux[..., axis, :], axis), None if mirror is None else -mirror)
+            face_flux = rusanov_flux(q_m, q_p, fn_m, fn_p, axis, params, full)
             face_flux *= lift
+            # A cell's low end face flows in, its high end face out.  Summing
+            # with the x cells innermost beats the 3-value inner loops of a
+            # node column.
             x_last = (0, 2, 3, 1) if axis == 0 else (1, 2, 3, 0)
             lo, hi = (end.transpose(x_last) for end in _ends(lifted, axis))
             np.add(lo, face_flux[:, :-1].transpose(x_last), out=lo, order="C")
             np.subtract(hi, face_flux[:, 1:].transpose(x_last), out=hi, order="C")
+        del flux  # freed before the source terms allocate theirs
 
         x, y = self.node_xy[..., 0], self.node_xy[..., 1]
         swe.source(data, y, params, out=out)

@@ -35,6 +35,14 @@ def test_run_invalid_config_exit_code(tmp_path, capsys):
     assert main(["run", str(cfg)]) == 1
 
 
+def test_run_non_finite_dt_exit_code(tmp_path, capsys):
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text(CONFIG.format(out=tmp_path / "out").replace("time.dt = 0.01", "time.dt = nan"))
+    assert main(["run", str(cfg)]) == 1
+    assert capsys.readouterr().err == "error: time.dt: must be finite, got nan\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_rejects_an_amplitude_for_lake_at_rest(tmp_path, capsys):
     cfg = tmp_path / "lake.cfg"
     cfg.write_text(CONFIG.format(out=tmp_path / "out") + "case.amplitude = 0.5\n")

@@ -1,6 +1,6 @@
 import pytest
 
-from swemix.config import load_config, parse_text
+from swemix.config import _KEY_TYPES, load_config, parse_text
 from swemix.errors import (
     ConfigParseError,
     InvalidValueError,
@@ -112,3 +112,17 @@ def test_nonpositive_element_count_names_its_key(key):
     with pytest.raises(InvalidValueError) as err:
         parse_text(MINIMAL + f"mesh.{key} = 0\n")
     assert err.value.key == f"mesh.{key}"
+
+
+_FLOAT_KEYS = sorted(key for key, kind in _KEY_TYPES.items() if kind is float)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", _FLOAT_KEYS)
+def test_non_finite_float_names_its_key(key, value):
+    given = {"case.name": "standing_wave", "time.dt": "0.01", "time.t_final": "0.1", key: value}
+    text = "".join(f"{k} = {v}\n" for k, v in given.items())
+    with pytest.raises(InvalidValueError) as err:
+        parse_text(text)
+    assert err.value.key == key
+    assert "finite" in str(err.value)

@@ -8,7 +8,7 @@ from swemix.basis import mass_weights, nodal_basis
 from swemix.dg import ExplicitOperator, StateField, nodal_field, rusanov_flux
 from swemix.errors import DryStateError
 from swemix.mesh import PERIODIC, WALL, build_structured, gll_node_coords
-from swemix.swe import ModelParams, flux_nonlinear
+from swemix.swe import ModelParams, flux_full, flux_nonlinear
 
 P1 = ModelParams(phi_bar=1.0)
 
@@ -18,39 +18,41 @@ state = st.builds(
     st.floats(-2.0, 2.0),
     st.floats(-2.0, 2.0),
 )
-unit_normal = st.sampled_from(
-    [np.array([1.0, 0.0]), np.array([-1.0, 0.0]), np.array([0.0, 1.0]), np.array([0.0, -1.0])]
-)
+axes = st.sampled_from([0, 1])
 
 
-def _normal_flux(q, n):
-    return np.einsum("dc,d->c", flux_nonlinear(q, P1), n)
+def _normal_flux(q, axis, full=False):
+    return (flux_full if full else flux_nonlinear)(q, P1)[axis]
 
 
-@given(state, unit_normal)
-def test_rusanov_consistency(q, n):
-    fn = _normal_flux(q, n)
-    fhat = rusanov_flux(q, q, fn, fn, n, P1)
-    expected = np.einsum("dc,d->c", flux_nonlinear(q, P1), n)
-    assert np.allclose(fhat, expected, rtol=0, atol=1e-15)
+@given(state, axes, st.booleans())
+def test_rusanov_consistency(q, axis, full):
+    fn = _normal_flux(q, axis, full)
+    fhat = rusanov_flux(q, q, fn, fn, axis, P1, full)
+    assert np.allclose(fhat, fn, rtol=0, atol=1e-15)
 
 
 def test_rusanov_rest_states_average_pressure_remainder():
     # both sides at rest, differing phi': advective speed is zero, so the
-    # flux is the plain average of the pressure remainders
+    # flux is the plain average of the pressure remainders, in the momentum
+    # along the face's normal
     qm = np.array([0.2, 0.0, 0.0])
     qp = np.zeros(3)
-    n = np.array([1.0, 0.0])
-    fhat = rusanov_flux(qm, qp, _normal_flux(qm, n), _normal_flux(qp, n), n, P1)
-    assert fhat[0] == 0.0
-    assert abs(fhat[1] - 0.5 * 0.02) < 1e-16
-    assert fhat[2] == 0.0
+    for axis in (0, 1):
+        fhat = rusanov_flux(qm, qp, _normal_flux(qm, axis), _normal_flux(qp, axis), axis, P1)
+        normal, tangent = 1 + axis, 2 - axis
+        assert fhat[0] == 0.0
+        assert abs(fhat[normal] - 0.5 * 0.02) < 1e-16
+        assert fhat[tangent] == 0.0
 
 
-@given(state, state, unit_normal)
-def test_rusanov_antisymmetry(qm, qp, n):
-    a = rusanov_flux(qm, qp, _normal_flux(qm, n), _normal_flux(qp, n), n, P1)
-    b = rusanov_flux(qp, qm, _normal_flux(qp, -n), _normal_flux(qm, -n), -n, P1)
+@given(state, state, axes, st.booleans())
+def test_rusanov_antisymmetry(qm, qp, axis, full):
+    # Through the reversed normal the sides swap and both normal fluxes
+    # change sign; the flux must change sign with them.
+    fm, fp = _normal_flux(qm, axis, full), _normal_flux(qp, axis, full)
+    a = rusanov_flux(qm, qp, fm, fp, axis, P1, full)
+    b = rusanov_flux(qp, qm, -fp, -fm, axis, P1, full)
     assert np.allclose(a, -b, rtol=0, atol=1e-14)
 
 
@@ -58,10 +60,10 @@ def test_rusanov_dry_state():
     # the dry side has no flux (flux_nonlinear raises on it), so both sides
     # pass the wet side's: the geopotential check alone must raise
     qp = np.zeros(3)
-    n = np.array([1.0, 0.0])
-    fn = _normal_flux(qp, n)
-    with pytest.raises(DryStateError):
-        rusanov_flux(np.array([-2.0, 0.0, 0.0]), qp, fn, fn, n, P1)
+    for axis in (0, 1):
+        fn = _normal_flux(qp, axis)
+        with pytest.raises(DryStateError):
+            rusanov_flux(np.array([-2.0, 0.0, 0.0]), qp, fn, fn, axis, P1)
 
 
 def _random_field(mesh, basis, rng, scale=0.3):
@@ -228,9 +230,9 @@ def test_flux_evaluated_once_per_stage(monkeypatch, bcs, full):
 
 
 @pytest.mark.parametrize("bcs", [(PERIODIC, PERIODIC), (PERIODIC, WALL), (WALL, WALL)])
-def test_rusanov_called_once_per_tendency(monkeypatch, bcs):
-    # Both face families go through one call, through the module, so that a
-    # hook on dg.rusanov_flux sees it.
+def test_rusanov_called_once_per_face_family(monkeypatch, bcs):
+    # Each face family, x then y, goes through one call, through the module,
+    # so that a hook on dg.rusanov_flux sees both.
     from swemix import dg
 
     real = dg.rusanov_flux
@@ -246,10 +248,11 @@ def test_rusanov_called_once_per_tendency(monkeypatch, bcs):
     rng = np.random.default_rng(6)
     data = rng.uniform(-0.3, 0.3, size=(mesh.num_elements, basis.n, basis.n, 3))
     op = ExplicitOperator(mesh, basis)
+    families = [(mesh.ny, mesh.nx + 1, basis.n, 3), (mesh.nx, mesh.ny + 1, basis.n, 3)]
     op.tendency(data, 0.0, P1)
-    assert len(calls) == 1 and calls[0][1:] == (basis.n, 3)
+    assert calls == families
     op.tendency(data, 0.0, P1, full=True)
-    assert len(calls) == 2
+    assert calls == 2 * families
 
 
 def test_extra_source_gets_contiguous_node_coords():
