@@ -18,7 +18,7 @@ from .basis import mass_weights, nodal_basis
 from .cases import l2_error, make_case
 from .config import CaseConfig, Config, DiscConfig, MeshConfig, PhysicsConfig, TimeConfig, validate
 from .dg import ExplicitOperator, StateField, nodal_field
-from .errors import DryStateError, InvalidArgumentError, SolverFailureError
+from .errors import DryStateError, InvalidArgumentError, InvalidValueError, SolverFailureError
 from .hdg import ImplicitSolverBank
 from .mesh import build_structured
 from .output import CsvSeriesWriter, write_vtk
@@ -185,6 +185,12 @@ def run(cfg, quiet=False):
     node_xy = sim.dg_op.node_xy
 
     out_dir = cfg.output.dir
+    if cfg.output.csv_series or cfg.output.vtk_every_n_steps:
+        # a directory that cannot be made fails the run before its first step
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as exc:
+            raise InvalidValueError("output.dir", f"cannot make {out_dir!r}: {exc.strerror or exc}") from None
     writer = None
     if cfg.output.csv_series:
         writer = CsvSeriesWriter(os.path.join(out_dir, "series.csv"), with_errors=exact is not None)

@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+from swemix import imex
 from swemix.cli import main
 
 CONFIG = """
@@ -41,6 +42,27 @@ def test_run_non_finite_dt_exit_code(tmp_path, capsys):
     assert main(["run", str(cfg)]) == 1
     assert capsys.readouterr().err == "error: time.dt: must be finite, got nan\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "extra", ["output.vtk_every_n_steps = 2\n", "output.csv_series = true\n"], ids=["vtk", "csv_only"]
+)
+def test_run_output_dir_under_a_file_exit_code(tmp_path, capsys, monkeypatch, extra):
+    # an output directory that cannot be made is a config error, reported
+    # before the first step also when only the CSV series, written at the
+    # end, would need it
+    steps = []
+    step = imex.step
+    monkeypatch.setattr(imex, "step", lambda *a: steps.append(a) or step(*a))
+    blocker = tmp_path / "blocker"
+    blocker.write_text("file, not a directory")
+    cfg = tmp_path / "out.cfg"
+    cfg.write_text(CONFIG.format(out=blocker / "out") + extra)
+    assert main(["run", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: output.dir: cannot make ")
+    assert "Traceback" not in err
+    assert steps == []
 
 
 def test_run_rejects_an_amplitude_for_lake_at_rest(tmp_path, capsys):

@@ -79,6 +79,25 @@ def _assert_matches_loop(tmp_path, mesh, basis, seed):
     assert open(new, "rb").read() == open(old, "rb").read()
 
 
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+@pytest.mark.parametrize("bcs", [("wall", "wall"), ("periodic", "wall"), ("wall", "periodic"), ("periodic", "periodic")])
+def test_vtk_geometry_matches_per_value_writer(tmp_path, bcs, p):
+    # POINTS are joined from per-column x and per-row y strings; offset,
+    # non-unit bounds on a mesh with nx != ny keep the two tables apart
+    basis = nodal_basis(p)
+    for seed, (n, bounds) in enumerate([((3, 2), (-1.5, 2.0, 0.25, 0.75)), ((2, 5), (1e-3, 3.7, -2.2, -0.1))]):
+        _assert_matches_loop(tmp_path, build_structured(*n, bounds, *bcs), basis, seed)
+
+
+def test_vtk_geometry_formats_each_distinct_coordinate_once(monkeypatch):
+    calls = []
+    fmt = output._fmt
+    monkeypatch.setattr(output, "_fmt", lambda v: calls.append(v) or fmt(v))
+    nx, ny, p = 5, 3, 3
+    output._geometry(build_structured(nx, ny, (-1.5, 2.0, 0.25, 0.75), "wall", "periodic"), nodal_basis(p))
+    assert 0 < len(calls) <= (nx + ny) * (p + 1)
+
+
 def _count_geometry(monkeypatch):
     """The list of the calls that format the mesh sections from now on."""
     calls = []
