@@ -48,6 +48,9 @@ def _cmd_run(args):
 
 def _cmd_convergence(args):
     cfg = load_config(args.config)
+    # the CSV is written after the study: fail on its directory before
+    driver.check_levels(args.levels, args.mode)
+    driver.make_output_dir(cfg.output.dir)
     result = driver.convergence(cfg, args.levels, args.mode)
     print(result.table())
     path = os.path.join(cfg.output.dir, f"convergence_{args.mode}.csv")

@@ -174,6 +174,15 @@ def _step(pair, q, k, dt, tab):
         raise exc.with_context(f"step {k + 1} (t = {(k + 1) * dt:.6g})") from exc
 
 
+def make_output_dir(out_dir):
+    """Make ``out_dir`` and its parents; a directory that cannot be made is
+    an ``InvalidValueError`` on ``output.dir``."""
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise InvalidValueError("output.dir", f"cannot make {out_dir!r}: {exc.strerror or exc}") from None
+
+
 def run(cfg, quiet=False):
     """Time-march the configured case, writing CSV/VTK artifacts."""
     sim = build_simulation(cfg)
@@ -187,10 +196,7 @@ def run(cfg, quiet=False):
     out_dir = cfg.output.dir
     if cfg.output.csv_series or cfg.output.vtk_every_n_steps:
         # a directory that cannot be made fails the run before its first step
-        try:
-            os.makedirs(out_dir, exist_ok=True)
-        except OSError as exc:
-            raise InvalidValueError("output.dir", f"cannot make {out_dir!r}: {exc.strerror or exc}") from None
+        make_output_dir(out_dir)
     writer = None
     if cfg.output.csv_series:
         writer = CsvSeriesWriter(os.path.join(out_dir, "series.csv"), with_errors=exact is not None)
@@ -270,6 +276,17 @@ class ConvergenceResult:
         return path
 
 
+def check_levels(levels, mode):
+    """Raise ``InvalidArgumentError`` unless ``convergence`` accepts the
+    refinement ``levels`` and ``mode``."""
+    if len(levels) < 2:
+        raise InvalidArgumentError("need at least 2 refinement levels")
+    if mode not in ("spatial", "temporal"):
+        raise InvalidArgumentError(f"mode must be 'spatial' or 'temporal', got {mode!r}")
+    if min(levels) < 1 or len(set(levels)) != len(levels):
+        raise InvalidArgumentError(f"refinement levels must be distinct and >= 1, got {list(levels)}")
+
+
 def convergence(cfg, levels, mode):
     """Refinement study.
 
@@ -283,12 +300,7 @@ def convergence(cfg, levels, mode):
     """
     import copy
 
-    if len(levels) < 2:
-        raise InvalidArgumentError("need at least 2 refinement levels")
-    if mode not in ("spatial", "temporal"):
-        raise InvalidArgumentError(f"mode must be 'spatial' or 'temporal', got {mode!r}")
-    if min(levels) < 1 or len(set(levels)) != len(levels):
-        raise InvalidArgumentError(f"refinement levels must be distinct and >= 1, got {list(levels)}")
+    check_levels(levels, mode)
     errors = []
     spacings = []
     for lev in levels:

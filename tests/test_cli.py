@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from swemix import imex
+from swemix import driver, imex
 from swemix.cli import main
 
 CONFIG = """
@@ -128,6 +128,22 @@ output.dir = {out}
     out = capsys.readouterr().out
     assert "measured order" in out
     assert os.path.exists(tmp_path / "out" / "convergence_spatial.csv")
+
+
+def test_convergence_output_dir_under_a_file_exit_code(tmp_path, capsys, monkeypatch):
+    # the CSV's directory is made before the study, so a blocked one is a
+    # config error before any level runs
+    runs = []
+    monkeypatch.setattr(driver, "run", lambda *a, **k: runs.append(a))
+    blocker = tmp_path / "blocker"
+    blocker.write_text("file, not a directory")
+    cfg = tmp_path / "conv.cfg"
+    cfg.write_text(CONFIG.format(out=blocker / "out"))
+    assert main(["convergence", str(cfg), "--levels", "2", "4", "--mode", "spatial"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: output.dir: cannot make ")
+    assert "Traceback" not in err
+    assert runs == []
 
 
 def test_convergence_single_level_fails(tmp_path, capsys):

@@ -4,6 +4,7 @@ import pytest
 import oracles
 from swemix import output
 from swemix.basis import nodal_basis
+from swemix.cases import standing_wave
 from swemix.config import parse_text
 from swemix.dg import StateField, nodal_field
 from swemix.driver import run
@@ -68,6 +69,79 @@ def test_vtk_matches_per_value_writer(tmp_path, bc):
     field = StateField(data, mesh, basis)
     new = write_vtk(field, str(tmp_path / "new.vtk"), 1.3)
     old = oracles.write_vtk_loop(field, str(tmp_path / "old.vtk"), 1.3)
+    assert open(new, "rb").read() == open(old, "rb").read()
+
+
+def _edge_values():
+    """Values next to the kernel's rounding and layout boundaries."""
+    tiny, big = np.finfo(float).smallest_subnormal, np.finfo(float).max
+    values = [0.0, 1.0, 123.25, 1e16, 1e17, 1e300, 5e-324, tiny, big, np.nan, np.inf]
+    # exact ties at the 17th digit, 2**53 and the double after it
+    values += [2.0**-25, 3 * 2.0**-25, 2.0**53, 2.0**53 + 2, 0.1, 1 / 3]
+    for k in range(-310, 309):
+        values += [10.0**k, np.nextafter(10.0**k, 0), np.nextafter(10.0**k, np.inf)]
+    for k in range(-1074, 1024, 7):
+        values += [2.0**k, np.nextafter(2.0**k, 0), np.nextafter(2.0**k, np.inf)]
+    for k in range(1, 18):
+        values += [10.0**k - 0.5, 10.0**k - 1, 0.5 * 10.0**-k, 99999999999999999.0 / 10**k]
+    values = np.array(values)
+    return np.concatenate([values, -values])
+
+
+def _per_value(values, tails):
+    return "".join(f"{v:.17g}" + tails[j] for row in values.tolist() for j, v in enumerate(row)).encode("ascii")
+
+
+def test_format_rows_matches_format_spec():
+    # the kernel must give exactly the bytes of f"{x:.17g}" on every value,
+    # the ones it leaves to the per-value fallback included
+    rng = np.random.default_rng(20)
+    normals = rng.standard_normal(20_000) * 10.0 ** rng.uniform(-30, 30, 20_000)
+    bits = rng.integers(0, 2**64, 20_000, dtype=np.uint64, endpoint=False)
+    # one in 32 patterns with an all-ones exponent: nan, or inf when the
+    # mantissa is zero
+    bits[::32] |= np.uint64(0x7FF0 << 48)
+    bits[::64] &= np.uint64(0xFFF0 << 48)
+    bits = bits.view(np.float64)
+    for values in (normals, bits, _edge_values()):
+        for tails in ((b"\n",), (b" ", b" 0\n")):
+            rows = values[: len(values) // len(tails) * len(tails)].reshape(-1, len(tails))
+            expect = _per_value(rows, [t.decode("ascii") for t in tails])
+            assert output._format_rows(rows, tails) == expect
+
+
+def test_vtk_data_sections_fall_back_rarely(tmp_path, monkeypatch):
+    # a smooth 64 x 64, p = 2 snapshot goes through the kernel, and fewer
+    # than 1% of its values are formatted one at a time
+    mesh, basis = build_structured(64, 64, BOUNDS, "wall", "wall"), nodal_basis(2)
+    exact = standing_wave().exact_solution
+    field = nodal_field(mesh, basis, lambda x, y: exact(x, y, 0.015))
+    write_vtk(field, str(tmp_path / "warm.vtk"), 1.0)  # formats the mesh sections
+    formatted, fallbacks = [], []
+    kernel, fmt = output._format_rows, output._fmt
+    monkeypatch.setattr(output, "_format_rows", lambda v, t: formatted.append(v.size) or kernel(v, t))
+    monkeypatch.setattr(output, "_fmt", lambda v: fallbacks.append(v) or fmt(v))
+    write_vtk(field, str(tmp_path / "snap.vtk"), 1.0)
+    assert sum(formatted) == field.data.size
+    assert len(fallbacks) < 0.01 * field.data.size
+
+
+def test_vtk_awkward_values_match_per_value_writer(tmp_path):
+    # non-finite, signed-zero, subnormal, whole and huge values in phi' and
+    # in both momenta; phi_bar + phi' = 1 there, so the velocity shows them
+    awkward = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1.0, 123.25, 1e16, 1e17, 1e300]
+    mesh = build_structured(3, 2, BOUNDS, "wall", "wall")
+    basis = nodal_basis(2)
+    rng = np.random.default_rng(3)
+    data = rng.uniform(-0.3, 0.3, (6, 3, 3, 3))
+    flat = data.reshape(-1, 3)
+    for c in range(3):
+        rows = slice(c * len(awkward), (c + 1) * len(awkward))
+        flat[rows, 0] = -0.5
+        flat[rows, c] = awkward
+    field = StateField(data, mesh, basis)
+    new = write_vtk(field, str(tmp_path / "new.vtk"), 1.5)
+    old = oracles.write_vtk_loop(field, str(tmp_path / "old.vtk"), 1.5)
     assert open(new, "rb").read() == open(old, "rb").read()
 
 
