@@ -37,8 +37,11 @@ fall back to ``_fmt`` one at a time: non-finite values, |x| outside
 (1e-280, 1e280), subnormals included, scaled values within 1e-6 of a
 rounding tie, exact ties included, and the few whose exponent estimate is
 one off.  A smooth field has next to none (0 of 331,776 values in three
-64 x 64, p = 2 standing-wave snapshots).  The fallback is internal: it is
-neither an option nor a second writer.
+64 x 64, p = 2 standing-wave snapshots).  Fixed notation is laid out by
+the kernel, not left to ``_fmt``: one ``_fmt`` call and row write per value
+is slower than ``%`` over a whole chunk, so a field of values of order one,
+such as phi' at a large phi_bar, would write slower than with ``%`` alone.
+The fallback is internal: it is neither an option nor a second writer.
 """
 
 import functools
@@ -188,18 +191,11 @@ def _format_rows(values, tails):
     return mat[mat != 0].tobytes()
 
 
-def _data_rows(values, tails):
-    """``_format_rows`` over chunks of at most ``_CHUNK`` rows."""
+def _rows(format_chunk, values):
+    """The ASCII bytes ``format_chunk`` makes of each chunk of at most
+    ``_CHUNK`` rows of ``values``."""
     for start in range(0, len(values), _CHUNK):
-        yield _format_rows(values[start : start + _CHUNK], tails)
-
-
-def _rows(fmt, values):
-    """Format every row of ``values`` with ``fmt``, yielding ASCII bytes of
-    at most ``_CHUNK`` rows each."""
-    for start in range(0, len(values), _CHUNK):
-        part = values[start : start + _CHUNK]
-        yield (fmt * len(part) % tuple(part.ravel().tolist())).encode("ascii")
+        yield format_chunk(values[start : start + _CHUNK])
 
 
 def _points(mesh, basis):
@@ -228,7 +224,7 @@ def _geometry(mesh, basis):
             f"POINTS {mesh.num_elements * n1 * n1} double\n".encode("ascii"),
             *_points(mesh, basis),
             f"CELLS {ncells} {5 * ncells}\n".encode("ascii"),
-            *_rows("4 %d %d %d %d\n", cells),
+            *_rows(lambda part: (b"4 %d %d %d %d\n" * len(part)) % tuple(part.ravel().tolist()), cells),
             f"CELL_TYPES {ncells}\n".encode("ascii"),
             b"9\n" * ncells,
         ]
@@ -250,9 +246,9 @@ def write_vtk(field, path, phi_bar):
         fh.write(b"# vtk DataFile Version 3.0\nswemix snapshot\nASCII\nDATASET UNSTRUCTURED_GRID\n")
         fh.write(_cached[2])
         fh.write(f"POINT_DATA {len(flat)}\nSCALARS phi_prime double\nLOOKUP_TABLE default\n".encode("ascii"))
-        fh.writelines(_data_rows(flat[:, :1], (b"\n",)))
+        fh.writelines(_rows(lambda v: _format_rows(v, (b"\n",)), flat[:, :1]))
         fh.write(b"VECTORS velocity double\n")
-        fh.writelines(_data_rows(velocity, (b" ", b" 0\n")))
+        fh.writelines(_rows(lambda v: _format_rows(v, (b" ", b" 0\n")), velocity))
     return path
 
 

@@ -10,6 +10,7 @@ from swemix.dg import StateField, nodal_field
 from swemix.driver import run
 from swemix.mesh import build_structured, gll_node_coords
 from swemix.output import CsvSeriesWriter, write_vtk
+from swemix.swe import ModelParams
 
 BOUNDS = (0.0, 1.0, 0.0, 1.0)
 
@@ -110,18 +111,21 @@ def test_format_rows_matches_format_spec():
             assert output._format_rows(rows, tails) == expect
 
 
-def test_vtk_data_sections_fall_back_rarely(tmp_path, monkeypatch):
+@pytest.mark.parametrize("phi_bar", [1.0, 1000.0])
+def test_vtk_data_sections_fall_back_rarely(tmp_path, monkeypatch, phi_bar):
     # a smooth 64 x 64, p = 2 snapshot goes through the kernel, and fewer
-    # than 1% of its values are formatted one at a time
+    # than 1% of its values are formatted one at a time; at phi_bar = 1000
+    # two thirds of its phi' values lie in [1, 5.2), where %.17g prints fixed
+    # notation
     mesh, basis = build_structured(64, 64, BOUNDS, "wall", "wall"), nodal_basis(2)
-    exact = standing_wave().exact_solution
+    exact = standing_wave(ModelParams(phi_bar=phi_bar)).exact_solution
     field = nodal_field(mesh, basis, lambda x, y: exact(x, y, 0.015))
-    write_vtk(field, str(tmp_path / "warm.vtk"), 1.0)  # formats the mesh sections
+    write_vtk(field, str(tmp_path / "warm.vtk"), phi_bar)  # formats the mesh sections
     formatted, fallbacks = [], []
     kernel, fmt = output._format_rows, output._fmt
     monkeypatch.setattr(output, "_format_rows", lambda v, t: formatted.append(v.size) or kernel(v, t))
     monkeypatch.setattr(output, "_fmt", lambda v: fallbacks.append(v) or fmt(v))
-    write_vtk(field, str(tmp_path / "snap.vtk"), 1.0)
+    write_vtk(field, str(tmp_path / "snap.vtk"), phi_bar)
     assert sum(formatted) == field.data.size
     assert len(fallbacks) < 0.01 * field.data.size
 
