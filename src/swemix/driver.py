@@ -17,7 +17,7 @@ from . import imex
 from .basis import mass_weights, nodal_basis
 from .cases import l2_error, make_case
 from .config import CaseConfig, Config, DiscConfig, MeshConfig, PhysicsConfig, TimeConfig, validate
-from .dg import ExplicitOperator, StateField, nodal_field
+from .dg import ExplicitOperator, StateField, _dry_element_error, nodal_field
 from .errors import DryStateError, InvalidArgumentError, InvalidValueError, SolverFailureError
 from .hdg import ImplicitSolverBank
 from .mesh import build_structured
@@ -166,10 +166,17 @@ class RunResult:
 
 
 def _step(pair, q, k, dt, tab):
-    """Step k + 1, from t = k dt; a solver failure or a dry state raised by
-    it names the step and the time it was to reach."""
+    """Step k + 1, from t = k dt.  A solver failure or a dry state names the
+    step and the time it was to reach: one raised inside the step, a state
+    it returns that is not finite, and, in nonlinear mode, a returned state
+    with phi_bar + phi' <= 0 somewhere.  Linear mode does not need phi > 0."""
     try:
-        return imex.step(pair, q, k * dt, dt, tab)
+        q = imex.step(pair, q, k * dt, dt, tab)
+        if not np.all(np.isfinite(q.data)):
+            raise SolverFailureError("non-finite state")
+        if not pair.linear_mode and np.min(q.phi_prime) <= -pair.params.phi_bar:
+            raise _dry_element_error(q.data, pair.params)
+        return q
     except (SolverFailureError, DryStateError) as exc:
         raise exc.with_context(f"step {k + 1} (t = {(k + 1) * dt:.6g})") from exc
 
@@ -358,7 +365,8 @@ def stability_study(
     Runs the split method at ``cfl_multiple`` times the explicit gravity
     CFL reference step, then an explicit-only control (full flux moved to
     the explicit side) at the same step.  The control is aborted once its
-    amplitude exceeds 1e6 times the initial one or goes non-finite.
+    amplitude exceeds 1e6 times the initial one, or its state goes dry or
+    non-finite.
     """
     cfg = Config(
         mesh=MeshConfig(nx=nx, ny=nx),
@@ -389,11 +397,11 @@ def stability_study(
         for k in range(n_steps):
             try:
                 q = _step(control, q, k, dt, sim.tab)
-            except DryStateError:
+            except (DryStateError, SolverFailureError):
                 explicit_max = np.inf
                 break
             m = float(np.max(np.abs(q.phi_prime)))
-            if not np.isfinite(m) or m > blowup_cap:
+            if m > blowup_cap:
                 explicit_max = np.inf
                 break
             explicit_max = max(explicit_max, m)

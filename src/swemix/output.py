@@ -3,45 +3,26 @@
 The VTK writer emits an unstructured grid whose points are all element GLL
 nodes and whose cells are the p x p quad subcells of each element, with
 phi' as point scalars and the velocity (U/phi, V/phi, 0) as point vectors.
-Numbers are printed with 17 significant digits so files round-trip float64
-exactly and repeated runs are byte-identical.
+POINTS and the CSV print numbers as ``%.17g``, the two data sections as
+``% .16e``: 17 significant digits, so files round-trip float64 exactly and
+repeated runs are byte-identical.  Files are written in binary mode, so the
+bytes, "\\n" line ends included, are the same on every platform.  Neither
+writer makes directories: ``driver.run`` makes ``output.dir`` first.
 
 The POINTS, CELLS and CELL_TYPES sections depend only on the mesh and the
-basis, so they are formatted once and reused while later snapshots carry the
-same mesh and basis objects.  A node's x depends only on its element column
-and x node index, its y only on its element row and y node index, so POINTS
-formats each of these (nx + ny)(p + 1) distinct coordinates once and joins
-every line from their strings.  CELLS keep ``%d`` over all point indices: a
-table of index strings measured slower.  Only the last mesh's geometry is
-kept (1.2 MB of text for 64 x 64 elements at p = 2 on the unit square); it
-stays in memory, with that mesh and basis, until a snapshot of another mesh
-or basis replaces it, also after the run that wrote it has ended.  Each
-snapshot formats only its two data sections, in chunks of rows written as
-they are made, so no whole-file string is ever held.  Files are written in
-binary mode: the bytes, "\\n" line ends included, are the same on every
-platform.  Neither writer makes directories: ``driver.run`` makes
-``output.dir`` before its first step.
+basis: they are formatted once, POINTS from the (nx + ny)(p + 1) distinct
+coordinates, and kept for the last mesh and basis objects (1.2 MB for
+64 x 64 elements at p = 2), also after the run that wrote them has ended.
+Each snapshot writes its data sections in chunks of rows.
 
-The data sections are formatted by ``_format_rows``, which returns exactly
-the bytes of ``f"{x:.17g}"`` for whole chunks of values at once.  It finds
-each value's decimal exponent e from log10, corrected by one where the
-scaled value falls outside [1e16, 1e17), and computes N = |x| 10**(16 - e)
-in double-double arithmetic: Dekker's exact product with a table of 10**k
-as (hi, lo) pairs built exactly from integers.  N, rounded to an integer,
-gives the 17 digits as four-digit words from a table.  Each value fills 32
-fixed byte columns: sign, "0.000" prefix, lead digit, point, 16 digits
-with trailing zeros NUL, exponent and tail; fixed notation with e >= 0
-moves the point after digit e.  One mask drops the NUL bytes.  Zeros are
-laid out directly.  The values whose rounding the kernel cannot certify
-fall back to ``_fmt`` one at a time: non-finite values, |x| outside
-(1e-280, 1e280), subnormals included, scaled values within 1e-6 of a
-rounding tie, exact ties included, and the few whose exponent estimate is
-one off.  A smooth field has next to none (0 of 331,776 values in three
-64 x 64, p = 2 standing-wave snapshots).  Fixed notation is laid out by
-the kernel, not left to ``_fmt``: one ``_fmt`` call and row write per value
-is slower than ``%`` over a whole chunk, so a field of values of order one,
-such as phi' at a large phi_bar, would write slower than with ``%`` alone.
-The fallback is internal: it is neither an option nor a second writer.
+``_format_rows`` makes the bytes of ``f"{x: .16e}"`` for a whole chunk at
+once.  From log10 it finds each value's decimal exponent e, one off at
+worst, and computes N = |x| 10**(16 - e) by Dekker's double-double product;
+the 17 digits of N, rounded, come as four-digit words from a table into one
+fixed-width byte matrix.  A chunk holding a value the kernel cannot certify
+goes through ``bytes %`` whole: non-finite values, |x| outside
+[1e-99, 1e100), scaled values within 1e-6 of a rounding tie, and the few
+whose exponent estimate is one off.
 """
 
 import functools
@@ -57,54 +38,24 @@ _CHUNK = 4096
 # keeps their ids from being reused while the entry matches them by ``is``
 _cached = None
 
-# decimal exponents e the kernel handles, with margin: |x| in (1e-280, 1e280)
-_E = 284
-
-
-def _u64(strings):
-    """Each string, of at most 8 ASCII bytes with NUL for unused ones, as
-    one native uint64; OR-ing such words merges their bytes."""
-    return np.array([s.encode("ascii") for s in strings], "S8").view(np.uint64)
+# the power table's decimal exponents e, in [-_E, _E]: those of [1e-99, 1e100) and a margin
+_E = 102
 
 
 @functools.cache
 def _tables():
-    """The kernel's tables, built on its first call.  Per decimal exponent e
-    in [-_E, _E], at index e + _E: 10**(16 - e) as double-double (hi, lo)
-    pairs; row bytes 0-7 with the "0.000" prefix of ``%.17g`` in bytes 1-5;
-    row bytes 24-31 with the exponent in 24-28.  Then the digit words
-    "0000" ... "9999" as four ASCII bytes each, in native uint32 order:
-    first with trailing zeros NUL, then whole at index w + 10**4."""
-    hi, lo, prefix, exp = [], [], [], []
+    """The kernel's tables, built on its first call: 10**(16 - e) as
+    double-double (hi, lo) pairs at index e + _E, for e in [-_E, _E]; the
+    digit words "0000" ... "9999" as native uint32 of four ASCII bytes."""
+    hi, lo = [], []
     for e in range(-_E, _E + 1):
-        k = 16 - e
-        if k >= 0:
-            n = 10**k
-            h = float(n)
-            lo.append(float(n - int(h)))
-        else:
-            d = 10**-k
-            h = 1 / d
-            num, den = h.as_integer_ratio()
-            lo.append((den - num * d) / (den * d))
-        # int -> float and int / int are correctly rounded, so hi + lo is
-        # 10**k to 2**-106 relative
-        hi.append(h)
-        prefix.append("\0" + ("0." + "0" * (-e - 1) if -4 <= e < 0 else ""))
-        exp.append("" if -4 <= e < 17 else f"e{e:+03d}")
-    w = np.arange(10**4, dtype=np.uint16)[:, None]
-    place = np.array([10**4, 10**3, 10**2, 10], np.uint16)
-    rem = w % place
-    whole = (rem // (place // 10) + 48).astype(np.uint8)
-    # a digit is a trailing zero when it and every later digit are zero
-    words = np.concatenate([whole * (rem != 0), whole]).view(np.uint32).ravel()
-    return np.array(hi), np.array(lo), _u64(prefix), _u64(exp), words
-
-
-# row bytes 0-7: the sign in byte 0; the lead digit d in byte 6, with the
-# point in byte 7 at index 2 d + 1
-_SIGN = _u64(["", "-"])
-_LEAD = _u64(["\0" * 6 + str(d) + point for d in range(10) for point in ("", ".")])
+        # 10**(16 - e) = num / den; int / int rounds correctly, so hi + lo is it to 2**-106
+        num, den = 10 ** max(16 - e, 0), 10 ** max(e - 16, 0)
+        h, h_den = (num / den).as_integer_ratio()
+        hi.append(h / h_den)
+        lo.append((num * h_den - h * den) / (den * h_den))
+    words = (np.arange(10**4)[:, None] // np.array([1000, 100, 10, 1]) % 10 + 48).astype(np.uint8)
+    return np.array(hi), np.array(lo), words.view(np.uint32).ravel()
 
 
 def _fmt(value):
@@ -118,14 +69,21 @@ def _split(v):
     return high, v - high
 
 
+def _percent_rows(values, tails):
+    """What ``_format_rows`` returns, made by ``bytes %``."""
+    row = b"".join(b"% .16e" + tail for tail in tails)
+    return (row * len(values)) % tuple(values.ravel().tolist())
+
+
 def _format_rows(values, tails):
     """The ASCII bytes of every row of the float64 array ``values`` (n, m),
-    each value as ``f"{x:.17g}"`` followed by ``tails[j]`` in column j, a
-    tail of at most 3 bytes."""
-    pow_hi, pow_lo, prefix, exp, digit_words = _tables()
+    each value as ``f"{x: .16e}"`` followed by ``tails[j]`` in column j."""
+    pow_hi, pow_lo, digit_words = _tables()
     x = values.ravel()
     a = np.abs(x)
-    ok = (a > 1e-280) & (a < 1e280)
+    zero = a == 0.0
+    ok = (a >= 1e-99) & (a < 1e100)
+    # zeros and the values left to ``%`` go through as 1; zeros get N = 0
     a = np.where(ok, a, 1.0)
 
     # decimal exponent: log10 may miss by one next to a power of ten
@@ -144,51 +102,33 @@ def _format_rows(values, tails):
     frac = t - whole
     n = p.astype(np.int64) + whole.astype(np.int64)
     up = frac > 0.5
-    # N outside [1e16, 1e17) means e was one off: left to ``_fmt``, as are
-    # scaled values too close to a rounding tie to certify
+    # N outside [1e16, 1e17) means e was one off; a scaled value too close
+    # to a rounding tie cannot be certified
     ok &= (n >= 10**16) & (n + up < 10**17) & (np.abs(frac - 0.5) > 1e-6)
-    n += up
-    # zeros, and the values left to ``_fmt``, are laid out as "0"
-    n = np.where(ok, n, 0)
-    e = np.where(ok, e, 0)
+    if not np.all(ok | zero):
+        return _percent_rows(values, tails)
+    n = np.where(zero, 0, n + up)
 
-    # each value is 32 bytes: sign, "0.000" prefix, lead digit, point, 16
-    # digits as four words, exponent, tail; NUL bytes are dropped at the end
-    mat = np.zeros((len(values), len(tails), 32), np.uint8)
-    rows = mat.reshape(-1, 32)
-    row64, row32 = rows.view(np.uint64), rows.view(np.uint32)
-    lead, rest = np.divmod(n, 10**16)
-    high, low = np.divmod(rest, 10**8)
-    words = [*np.divmod(high, 10**4), *np.divmod(low, 10**4)]
-    # a word keeps its trailing zeros when a later word is nonzero
-    later = np.zeros(len(x), bool)
-    for i in (3, 2, 1, 0):
-        row32[:, 2 + i] = digit_words[words[i] + later * 10**4]
-        later |= words[i] != 0
-    # the point follows the lead digit, unless a "0.000" prefix holds it
-    point = later & ~((e >= -4) & (e < 0))
-    row64[:, 0] = _SIGN[np.signbit(x).view(np.uint8)] | prefix[e + _E] | _LEAD[2 * lead + point]
-    tail = _u64(["\0" * 5 + t.decode("ascii") for t in tails])
-    mat.view(np.uint64)[..., 3] = exp[e + _E].reshape(mat.shape[:2]) | tail
-
-    # fixed notation with e >= 0: the point moves after digit e, and the
-    # zeros before it come back
-    fixed = np.flatnonzero((e >= 0) & (e <= 16) & (n != 0))
-    if len(fixed):
-        # the 17 digits, trailing zeros NUL, and the empty exponent byte
-        digits = rows[fixed][:, [6, *range(8, 25)]]
-        k = e[fixed, None]
-        cols = np.arange(18)
-        after = np.take_along_axis(digits, k + 1, axis=1) != 0
-        moved = np.where(cols == k + 1, after * np.uint8(46), np.roll(digits, 1, axis=1))
-        rows[fixed, 6:24] = np.where(cols <= k, np.where(digits == 0, np.uint8(48), digits), moved)
-
-    fallback = np.flatnonzero(~ok & (x != 0.0))
-    for i, value in zip(fallback.tolist(), x[fallback].tolist()):
-        text = _fmt(value).encode("ascii")
-        rows[i, :29] = 0
-        rows[i, : len(text)] = np.frombuffer(text, np.uint8)
-    return mat[mat != 0].tobytes()
+    # each value is 23 bytes: sign or space, lead digit, point, 16 digits
+    # as four words, "e", exponent sign and two exponent digits; N splits
+    # into N // 10**8 < 10**9 and N % 10**8, so int32 from there
+    top = n // 10**8
+    low = (n - top * 10**8).astype(np.int32)
+    top = top.astype(np.int32)
+    words = np.stack([top // 10**4 % 10**4, top % 10**4, low // 10**4, low % 10**4], axis=1)
+    cells = np.empty((len(x), 23), np.uint8)
+    cells[:, 0] = np.where(np.signbit(x), ord("-"), ord(" "))
+    cells[:, 1] = top // 10**8 + 48
+    cells[:, 2] = ord(".")
+    cells[:, 3:19] = digit_words[words].view(np.uint8)
+    cells[:, 19] = ord("e")
+    cells[:, 20] = np.where(e < 0, ord("-"), ord("+"))
+    cells[:, 21:] = digit_words[np.abs(e)].view(np.uint8).reshape(-1, 4)[:, 2:]
+    cells = cells.reshape(len(values), len(tails), 23)
+    parts = []
+    for j, tail in enumerate(tails):
+        parts += [cells[:, j], np.broadcast_to(np.frombuffer(tail, np.uint8), (len(values), len(tail)))]
+    return np.concatenate(parts, axis=1).tobytes()
 
 
 def _rows(format_chunk, values):

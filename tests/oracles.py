@@ -524,11 +524,11 @@ def write_vtk_loop(field, path, phi_bar):
     lines.append("SCALARS phi_prime double")
     lines.append("LOOKUP_TABLE default")
     for row in flat:
-        lines.append(fmt(row[0]))
+        lines.append(f"{row[0]: .16e}")
     lines.append("VECTORS velocity double")
     for row in flat:
         total = phi_bar + row[0]
-        lines.append(f"{fmt(row[1] / total)} {fmt(row[2] / total)} 0")
+        lines.append(f"{row[1] / total: .16e} {row[2] / total: .16e} 0")
 
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -112,6 +112,29 @@ output.dir = {out}
     assert re.match(r"solver failure: step \d+ \(t = [0-9.e+-]+\): non-positive geopotential in element \d+ ", err), err
 
 
+@pytest.mark.parametrize("t_final", ["2.0", "4.0"])
+def test_run_dry_final_state_names_step_1(tmp_path, capsys, t_final):
+    # one ars233 step of dt = 2 leaves phi = -0.093 in element 0; the state
+    # that step returns is checked, also when it is the run's last step
+    cfg = tmp_path / "dry.cfg"
+    cfg.write_text(
+        """
+case.name = mms_nonlinear
+case.amplitude = 0.1
+time.scheme = ars233
+time.dt = 2.0
+time.t_final = {t_final}
+mesh.nx = 4
+mesh.ny = 4
+disc.order = 2
+output.dir = {out}
+""".format(t_final=t_final, out=tmp_path / "out")
+    )
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("solver failure: step 1 (t = 2): non-positive geopotential in element 0 "), err
+
+
 def test_convergence_subcommand(tmp_path, capsys):
     cfg = tmp_path / "conv.cfg"
     cfg.write_text(

@@ -122,6 +122,40 @@ def test_dry_state_names_the_step(tmp_path):
     assert str(err.value).endswith(str(stage_error))
 
 
+def _return_from_step(monkeypatch, phi_prime):
+    """Make every IMEX step return its input with phi' at node 0 of element 1
+    set to ``phi_prime``."""
+    def step(pair, q, t, dt, tab):
+        data = q.data.copy()
+        data[1, 0, 0, 0] = phi_prime
+        return StateField(data, q.mesh, q.basis)
+
+    monkeypatch.setattr(imex, "step", step)
+
+
+def test_non_finite_state_names_the_step(tmp_path, monkeypatch):
+    _return_from_step(monkeypatch, np.nan)
+    with pytest.raises(SolverFailureError) as err:
+        run(_cfg(LAKE.format(out=tmp_path / "out")), quiet=True)
+    assert str(err.value) == "step 1 (t = 0.01): non-finite state"
+
+
+def test_dry_returned_state_names_the_step(tmp_path, monkeypatch):
+    # phi_bar + phi' = 0 is dry: the end-of-step check uses the flux's <= 0
+    _return_from_step(monkeypatch, -1.0)
+    with pytest.raises(DryStateError) as err:
+        run(_cfg(LAKE.format(out=tmp_path / "out")), quiet=True)
+    assert str(err.value) == "step 1 (t = 0.01): non-positive geopotential in element 1 (min 0.000e+00)"
+    assert err.value.element == 1
+
+
+def test_linear_mode_does_not_check_for_a_dry_state(tmp_path, monkeypatch):
+    # the linearized equations do not need phi > 0
+    _return_from_step(monkeypatch, -2.0)
+    result = run(_cfg(LAKE.format(out=tmp_path / "out") + "case.linear_mode = true\n"), quiet=True)
+    assert result.final_field.data[1, 0, 0, 0] == -2.0
+
+
 @pytest.mark.parametrize("scheme", ["ars111", "ars222", "ars233"])
 def test_lake_at_rest_stays_at_rest_all_schemes(tmp_path, scheme):
     cfg = _cfg(LAKE.format(out=tmp_path / "o") + f"time.scheme = {scheme}\n")

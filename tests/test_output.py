@@ -50,12 +50,13 @@ def test_vtk_roundtrip(tmp_path):
     phi_bar = 1.7
     path = write_vtk(field, str(tmp_path / "r.vtk"), phi_bar)
     pts, phi, vel = oracles.read_vtk_point_data(path)
+    # 17 significant digits read back as the very same doubles
     ref_pts = gll_node_coords(mesh, basis).reshape(-1, 2)
-    assert np.allclose(pts[:, :2], ref_pts, rtol=1e-15, atol=0)
-    assert np.allclose(phi, data[..., 0].reshape(-1), rtol=1e-15, atol=0)
+    assert np.array_equal(pts, np.column_stack([ref_pts, np.zeros(len(ref_pts))]))
+    assert np.array_equal(phi, data[..., 0].reshape(-1))
     total = phi_bar + data[..., 0]
-    assert np.allclose(vel[:, 0], (data[..., 1] / total).reshape(-1), rtol=1e-15, atol=0)
-    assert np.allclose(vel[:, 2], 0.0, atol=0)
+    ref_vel = np.stack([data[..., 1] / total, data[..., 2] / total, np.zeros_like(total)], axis=-1)
+    assert np.array_equal(vel, ref_vel.reshape(-1, 3))
 
 
 @pytest.mark.parametrize("bc", ["wall", "periodic"])
@@ -74,7 +75,7 @@ def test_vtk_matches_per_value_writer(tmp_path, bc):
 
 
 def _edge_values():
-    """Values next to the kernel's rounding and layout boundaries."""
+    """Values next to the kernel's rounding and range boundaries."""
     tiny, big = np.finfo(float).smallest_subnormal, np.finfo(float).max
     values = [0.0, 1.0, 123.25, 1e16, 1e17, 1e300, 5e-324, tiny, big, np.nan, np.inf]
     # exact ties at the 17th digit, 2**53 and the double after it
@@ -90,12 +91,12 @@ def _edge_values():
 
 
 def _per_value(values, tails):
-    return "".join(f"{v:.17g}" + tails[j] for row in values.tolist() for j, v in enumerate(row)).encode("ascii")
+    return "".join(f"{v: .16e}" + tails[j] for row in values.tolist() for j, v in enumerate(row)).encode("ascii")
 
 
 def test_format_rows_matches_format_spec():
-    # the kernel must give exactly the bytes of f"{x:.17g}" on every value,
-    # the ones it leaves to the per-value fallback included
+    # the kernel must give exactly the bytes of f"{x: .16e}" on every value,
+    # the ones it leaves to the ``%`` fallback included
     rng = np.random.default_rng(20)
     normals = rng.standard_normal(20_000) * 10.0 ** rng.uniform(-30, 30, 20_000)
     bits = rng.integers(0, 2**64, 20_000, dtype=np.uint64, endpoint=False)
@@ -112,22 +113,32 @@ def test_format_rows_matches_format_spec():
 
 
 @pytest.mark.parametrize("phi_bar", [1.0, 1000.0])
-def test_vtk_data_sections_fall_back_rarely(tmp_path, monkeypatch, phi_bar):
-    # a smooth 64 x 64, p = 2 snapshot goes through the kernel, and fewer
-    # than 1% of its values are formatted one at a time; at phi_bar = 1000
-    # two thirds of its phi' values lie in [1, 5.2), where %.17g prints fixed
-    # notation
+def test_vtk_data_sections_take_no_fallback(tmp_path, monkeypatch, phi_bar):
+    # every chunk of a smooth 64 x 64, p = 2 snapshot goes through the
+    # kernel; at phi_bar = 1000 two thirds of its phi' values lie in [1, 5.2)
     mesh, basis = build_structured(64, 64, BOUNDS, "wall", "wall"), nodal_basis(2)
     exact = standing_wave(ModelParams(phi_bar=phi_bar)).exact_solution
     field = nodal_field(mesh, basis, lambda x, y: exact(x, y, 0.015))
-    write_vtk(field, str(tmp_path / "warm.vtk"), phi_bar)  # formats the mesh sections
     formatted, fallbacks = [], []
-    kernel, fmt = output._format_rows, output._fmt
+    kernel, percent = output._format_rows, output._percent_rows
     monkeypatch.setattr(output, "_format_rows", lambda v, t: formatted.append(v.size) or kernel(v, t))
-    monkeypatch.setattr(output, "_fmt", lambda v: fallbacks.append(v) or fmt(v))
+    monkeypatch.setattr(output, "_percent_rows", lambda v, t: fallbacks.append(v.size) or percent(v, t))
     write_vtk(field, str(tmp_path / "snap.vtk"), phi_bar)
     assert sum(formatted) == field.data.size
-    assert len(fallbacks) < 0.01 * field.data.size
+    assert fallbacks == []
+
+
+def test_format_rows_falls_back_per_chunk(monkeypatch):
+    # one value the kernel cannot certify sends its whole chunk through ``%``
+    fallbacks = []
+    percent = output._percent_rows
+    monkeypatch.setattr(output, "_percent_rows", lambda v, t: fallbacks.append(v.size) or percent(v, t))
+    rows = np.linspace(-3.0, 7.0, 10).reshape(5, 2)
+    assert output._format_rows(rows, (b" ", b" 0\n")) == _per_value(rows, [" ", " 0\n"])
+    assert fallbacks == []
+    rows[3, 1] = np.inf
+    assert output._format_rows(rows, (b" ", b" 0\n")) == _per_value(rows, [" ", " 0\n"])
+    assert fallbacks == [10]
 
 
 def test_vtk_awkward_values_match_per_value_writer(tmp_path):
