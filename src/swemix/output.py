@@ -16,13 +16,13 @@ coordinates, and kept for the last mesh and basis objects (1.2 MB for
 Each snapshot writes its data sections in chunks of rows.
 
 ``_format_rows`` makes the bytes of ``f"{x: .16e}"`` for a whole chunk at
-once.  From log10 it finds each value's decimal exponent e, one off at
-worst, and computes N = |x| 10**(16 - e) by Dekker's double-double product;
-the 17 digits of N, rounded, come as four-digit words from a table into one
+once.  From log10, corrected against a table of the least double at
+or above each power of ten, it finds each value's decimal exponent e, and
+computes N = |x| 10**(16 - e) by Dekker's double-double product; the 17
+digits of N, rounded, come as four-digit words from a table into one
 fixed-width byte matrix.  A chunk holding a value the kernel cannot certify
 goes through ``bytes %`` whole: non-finite values, |x| outside
-[1e-99, 1e100), scaled values within 1e-6 of a rounding tie, and the few
-whose exponent estimate is one off.
+[1e-99, 1e100), and scaled values within 1e-6 of a rounding tie.
 """
 
 import functools
@@ -38,24 +38,26 @@ _CHUNK = 4096
 # keeps their ids from being reused while the entry matches them by ``is``
 _cached = None
 
-# the power table's decimal exponents e, in [-_E, _E]: those of [1e-99, 1e100) and a margin
+# the tables' index is e + _E, for e from -_E to _E + 16: the exponents of [1e-99, 1e100), a margin, and 16 minus them
 _E = 102
 
 
 @functools.cache
 def _tables():
     """The kernel's tables, built on its first call: 10**(16 - e) as
-    double-double (hi, lo) pairs at index e + _E, for e in [-_E, _E]; the
-    digit words "0000" ... "9999" as native uint32 of four ASCII bytes."""
+    double-double (hi, lo) pairs and the least double >= 10**(16 - e), at
+    index e + _E; the digit words "0000" ... "9999" as native uint32 of
+    four ASCII bytes."""
     hi, lo = [], []
-    for e in range(-_E, _E + 1):
+    for e in range(-_E, _E + 17):
         # 10**(16 - e) = num / den; int / int rounds correctly, so hi + lo is it to 2**-106
         num, den = 10 ** max(16 - e, 0), 10 ** max(e - 16, 0)
         h, h_den = (num / den).as_integer_ratio()
         hi.append(h / h_den)
         lo.append((num * h_den - h * den) / (den * h_den))
     words = (np.arange(10**4)[:, None] // np.array([1000, 100, 10, 1]) % 10 + 48).astype(np.uint8)
-    return np.array(hi), np.array(lo), words.view(np.uint32).ravel()
+    hi, lo = np.array(hi), np.array(lo)
+    return hi, lo, np.where(lo > 0, np.nextafter(hi, np.inf), hi), words.view(np.uint32).ravel()
 
 
 def _fmt(value):
@@ -78,7 +80,7 @@ def _percent_rows(values, tails):
 def _format_rows(values, tails):
     """The ASCII bytes of every row of the float64 array ``values`` (n, m),
     each value as ``f"{x: .16e}"`` followed by ``tails[j]`` in column j."""
-    pow_hi, pow_lo, digit_words = _tables()
+    pow_hi, pow_lo, least, digit_words = _tables()
     x = values.ravel()
     a = np.abs(x)
     zero = a == 0.0
@@ -86,11 +88,11 @@ def _format_rows(values, tails):
     # zeros and the values left to ``%`` go through as 1; zeros get N = 0
     a = np.where(ok, a, 1.0)
 
-    # decimal exponent: log10 may miss by one next to a power of ten
+    # decimal exponent: log10 may miss by one next to a power of ten, so
+    # compare with the least doubles >= 10**(e + 1) and >= 10**e
     e = np.floor(np.log10(a)).astype(np.int64)
-    scaled = a * pow_hi[e + _E]
-    e += scaled >= 1e17
-    e -= scaled < 1e16
+    e += a >= least[15 - e + _E]
+    e -= a < least[16 - e + _E]
 
     # |x| 10**(16 - e) = p + t to ~1e-14; p >= 2**53 is a whole number
     hi, lo = pow_hi[e + _E], pow_lo[e + _E]
@@ -100,21 +102,19 @@ def _format_rows(values, tails):
     t = ((a1 * h1 - p) + a1 * h2 + a2 * h1) + a2 * h2 + a * lo
     whole = np.floor(t)
     frac = t - whole
-    n = p.astype(np.int64) + whole.astype(np.int64)
-    up = frac > 0.5
-    # N outside [1e16, 1e17) means e was one off; a scaled value too close
-    # to a rounding tie cannot be certified
-    ok &= (n >= 10**16) & (n + up < 10**17) & (np.abs(frac - 0.5) > 1e-6)
+    n = p.astype(np.int64) + whole.astype(np.int64) + (frac > 0.5)
+    # N in [1e16, 1e17) rounds to 1e17 at most, which carries into the
+    # exponent; a scaled value too close to a rounding tie cannot be certified
+    ok &= np.abs(frac - 0.5) > 1e-6
     if not np.all(ok | zero):
         return _percent_rows(values, tails)
-    n = np.where(zero, 0, n + up)
+    e += n == 10**17
+    n = np.where(zero, 0, np.where(n == 10**17, 10**16, n))
 
     # each value is 23 bytes: sign or space, lead digit, point, 16 digits
     # as four words, "e", exponent sign and two exponent digits; N splits
     # into N // 10**8 < 10**9 and N % 10**8, so int32 from there
-    top = n // 10**8
-    low = (n - top * 10**8).astype(np.int32)
-    top = top.astype(np.int32)
+    top, low = (n // 10**8).astype(np.int32), (n % 10**8).astype(np.int32)
     words = np.stack([top // 10**4 % 10**4, top % 10**4, low // 10**4, low % 10**4], axis=1)
     cells = np.empty((len(x), 23), np.uint8)
     cells[:, 0] = np.where(np.signbit(x), ord("-"), ord(" "))

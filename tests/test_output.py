@@ -94,9 +94,20 @@ def _per_value(values, tails):
     return "".join(f"{v: .16e}" + tails[j] for row in values.tolist() for j, v in enumerate(row)).encode("ascii")
 
 
-def test_format_rows_matches_format_spec():
+def _count_fallbacks(monkeypatch):
+    """The list of the sizes of the chunks sent to ``%`` from now on."""
+    fallbacks = []
+    percent = output._percent_rows
+    monkeypatch.setattr(output, "_percent_rows", lambda v, t: fallbacks.append(v.size) or percent(v, t))
+    return fallbacks
+
+
+def test_format_rows_matches_format_spec(monkeypatch):
     # the kernel must give exactly the bytes of f"{x: .16e}" on every value,
-    # the ones it leaves to the ``%`` fallback included
+    # the ones it leaves to ``%`` included; calls of 1 to 16 rows keep one
+    # such value from sending many others with it, so most calls whose
+    # values are all 0 or in [1e-99, 1e100) must be formatted by the kernel
+    fallbacks = _count_fallbacks(monkeypatch)
     rng = np.random.default_rng(20)
     normals = rng.standard_normal(20_000) * 10.0 ** rng.uniform(-30, 30, 20_000)
     bits = rng.integers(0, 2**64, 20_000, dtype=np.uint64, endpoint=False)
@@ -106,10 +117,38 @@ def test_format_rows_matches_format_spec():
     bits[::64] &= np.uint64(0xFFF0 << 48)
     bits = bits.view(np.float64)
     for values in (normals, bits, _edge_values()):
+        in_range = by_kernel = 0
         for tails in ((b"\n",), (b" ", b" 0\n")):
             rows = values[: len(values) // len(tails) * len(tails)].reshape(-1, len(tails))
-            expect = _per_value(rows, [t.decode("ascii") for t in tails])
-            assert output._format_rows(rows, tails) == expect
+            start = 0
+            while start < len(rows):
+                chunk = rows[start : start + rng.integers(1, 17)]
+                start += len(chunk)
+                before = len(fallbacks)
+                assert output._format_rows(chunk, tails) == _per_value(chunk, [t.decode("ascii") for t in tails])
+                a = np.abs(chunk)
+                if np.all((a == 0.0) | ((a >= 1e-99) & (a < 1e100))):
+                    in_range += 1
+                    by_kernel += len(fallbacks) == before
+        assert by_kernel > 0.85 * in_range > 0
+
+
+def test_format_rows_formats_edge_values_itself(monkeypatch):
+    # powers of ten and the doubles either side of them, where log10 may
+    # miss the exponent and where the 17 digits of 1e-14 round up to 10**17,
+    # whole numbers next to 2**53 and 10**k, and the ends of [1e-99, 1e100):
+    # all formatted by the kernel in one call, with no ``%`` to hide a byte
+    monkeypatch.setattr(output, "_percent_rows", lambda v, t: pytest.fail("fell back to %"))
+    values = [0.0, 1e-99, np.nextafter(1e100, 0), 2.0**53, 2.0**53 + 2, 0.1, 1 / 3]
+    for k in range(-99, 100):
+        values += [10.0**k, np.nextafter(10.0**k, np.inf)]
+        # the double below 1e-99 is out of range, the one below 1e15 a tie
+        if k not in (-99, 15):
+            values.append(np.nextafter(10.0**k, 0))
+    for k in range(1, 17):
+        values += [10.0**k - 0.5, 10.0**k - 1, 0.5 * 10.0**-k, 99999999999999999.0 / 10**k]
+    rows = np.concatenate([values, np.negative(values)]).reshape(-1, 2)
+    assert output._format_rows(rows, (b" ", b" 0\n")) == _per_value(rows, [" ", " 0\n"])
 
 
 @pytest.mark.parametrize("phi_bar", [1.0, 1000.0])
@@ -119,10 +158,10 @@ def test_vtk_data_sections_take_no_fallback(tmp_path, monkeypatch, phi_bar):
     mesh, basis = build_structured(64, 64, BOUNDS, "wall", "wall"), nodal_basis(2)
     exact = standing_wave(ModelParams(phi_bar=phi_bar)).exact_solution
     field = nodal_field(mesh, basis, lambda x, y: exact(x, y, 0.015))
-    formatted, fallbacks = [], []
-    kernel, percent = output._format_rows, output._percent_rows
+    formatted = []
+    kernel = output._format_rows
     monkeypatch.setattr(output, "_format_rows", lambda v, t: formatted.append(v.size) or kernel(v, t))
-    monkeypatch.setattr(output, "_percent_rows", lambda v, t: fallbacks.append(v.size) or percent(v, t))
+    fallbacks = _count_fallbacks(monkeypatch)
     write_vtk(field, str(tmp_path / "snap.vtk"), phi_bar)
     assert sum(formatted) == field.data.size
     assert fallbacks == []
@@ -130,9 +169,7 @@ def test_vtk_data_sections_take_no_fallback(tmp_path, monkeypatch, phi_bar):
 
 def test_format_rows_falls_back_per_chunk(monkeypatch):
     # one value the kernel cannot certify sends its whole chunk through ``%``
-    fallbacks = []
-    percent = output._percent_rows
-    monkeypatch.setattr(output, "_percent_rows", lambda v, t: fallbacks.append(v.size) or percent(v, t))
+    fallbacks = _count_fallbacks(monkeypatch)
     rows = np.linspace(-3.0, 7.0, 10).reshape(5, 2)
     assert output._format_rows(rows, (b" ", b" 0\n")) == _per_value(rows, [" ", " 0\n"])
     assert fallbacks == []
