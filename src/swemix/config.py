@@ -203,7 +203,10 @@ def validate(cfg):
         raise InvalidValueError("time.dt", f"must be positive, got {cfg.time.dt}")
     if cfg.time.t_final < cfg.time.dt:
         raise InvalidValueError("time.t_final", f"must be at least dt, got {cfg.time.t_final}")
-    n_steps = round(cfg.time.t_final / cfg.time.dt)
+    steps = cfg.time.t_final / cfg.time.dt
+    if not math.isfinite(steps):
+        raise InvalidValueError("time.t_final", f"t_final / dt overflows: {cfg.time.t_final!r} / {cfg.time.dt!r}")
+    n_steps = round(steps)
     if abs(cfg.time.t_final - n_steps * cfg.time.dt) > 1e-9 * cfg.time.t_final:
         raise InvalidValueError(
             "time.t_final",

@@ -215,9 +215,15 @@ def run(cfg, quiet=False):
         vtk_paths.append(path)
 
     def record(step, t, field):
+        # a finite state can still overflow the squares of its diagnostics
         if writer is not None:
-            errs = l2_error(field, exact, t, node_xy) if exact is not None else None
-            writer.add(step, t, total_mass(field, sim.params), energy_proxy(field, sim.params), errs)
+            errs = l2_error(field, exact, t, node_xy) if exact is not None else ()
+            mass, energy = total_mass(field, sim.params), energy_proxy(field, sim.params)
+            names = ("mass", "energy", "l2_phi", "l2_u", "l2_v")
+            bad = [name for name, v in zip(names, (mass, energy, *errs)) if not np.isfinite(v)]
+            if bad:
+                raise SolverFailureError(f"step {step} (t = {t:.6g}): non-finite diagnostics: {', '.join(bad)}")
+            writer.add(step, t, mass, energy, errs)
         if cfg.output.vtk_every_n_steps and step % cfg.output.vtk_every_n_steps == 0:
             snapshot(step, field)
 

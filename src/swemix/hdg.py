@@ -35,7 +35,9 @@ order reversed.  So the faces across a wall axis take a DCT-I, and the
 faces along it a DCT-II on the even part and a DST-II on the odd part of
 their node vectors, applied by GEMM.  The one solve covers all four
 boundary pairs.  The gmres backend iterates on H applied element by
-element, from the same Schur block, and never assembles it either.
+element, from the same Schur block, and never assembles it either; its
+block-Jacobi preconditioner forms only the distinct face blocks, at most
+six.
 """
 
 from dataclasses import dataclass
@@ -48,7 +50,7 @@ import scipy.sparse.linalg
 from .basis import element_operators
 from .dg import StateField
 from .errors import AssemblyError, InvalidArgumentError, SolverFailureError
-from .mesh import PERIODIC, SIDE_NORMALS, _line_faces
+from .mesh import EAST, NORTH, PERIODIC, SIDE_NORMALS, SOUTH, WEST, _line_faces
 
 BACKENDS = ("direct", "gmres")  # trace solvers of condense_and_factor
 
@@ -152,7 +154,7 @@ class CondensedSystem:
     at set-up.  No backend assembles H.  ``stored_bytes`` counts the arrays
     the trace solve holds: the inverse mode blocks and the wall-axis
     transform matrices (a periodic axis holds none), or the block-Jacobi
-    inverses of the face positions."""
+    inverses of the distinct face blocks, the only ones the set-up forms."""
 
     blocks: LocalBlocks
     elem_trace_ids: np.ndarray
@@ -328,9 +330,8 @@ def condense_and_factor(blocks, mesh, basis, backend="direct", rel_tol=1e-10, ma
     element's trace dofs, and runs restarted GMRES to ``rel_tol`` with a
     block-Jacobi preconditioner; ``max_iter`` counts restart cycles.  A
     face's block depends only on its family and its position along the
-    line, so the preconditioner holds one inverse per face position
-    (:func:`_family_preconditioner`), at most six, and applies each family
-    by GEMM.
+    line, so the set-up forms and inverts only the distinct face blocks
+    (:func:`_block_jacobi`), at most six, and applies each family by GEMM.
     """
     if backend not in BACKENDS:
         raise InvalidArgumentError(f"unknown solver backend {backend!r}")
@@ -345,8 +346,7 @@ def condense_and_factor(blocks, mesh, basis, backend="direct", rel_tol=1e-10, ma
     def apply(v):
         return np.bincount(flat, weights=(v[ids] @ schur_t).ravel(), minlength=ndof)
 
-    inv = _block_jacobi(blocks.schur, num_faces, n1, mesh.elem_faces)
-    apply_inv, stored = _family_preconditioner(inv, mesh)
+    apply_inv, stored = _block_jacobi(blocks.schur, num_faces, n1, mesh)
     H = scipy.sparse.linalg.LinearOperator((ndof, ndof), matvec=apply, dtype=float)
     precond = scipy.sparse.linalg.LinearOperator(H.shape, matvec=apply_inv, dtype=float)
 
@@ -366,62 +366,53 @@ def condense_and_factor(blocks, mesh, basis, backend="direct", rel_tol=1e-10, ma
     return CondensedSystem(blocks=blocks, elem_trace_ids=ids, solve=solve, stored_bytes=stored)
 
 
-def _block_jacobi(schur, num_faces, n1, elem_faces):
-    """Inverse of the per-face diagonal blocks of H, (num_faces, n1, n1).
-
-    A face's block sums the Schur sub-blocks (s, t) of every element side
-    pair that lands on it: (s, s) always, and (east, west) and (west, east),
-    or (north, south) and (south, north), where a one-cell periodic axis
-    wraps an element onto itself.
-    """
-    sub = schur.reshape(4, n1, 4, n1).swapaxes(1, 2)
-    elem, s, t = np.nonzero(elem_faces[:, :, None] == elem_faces[:, None, :])
-    at = (elem_faces[elem, s] * n1 * n1)[:, None] + np.arange(n1 * n1)
-    blocks = np.bincount(at.ravel(), weights=sub[s, t].ravel(), minlength=num_faces * n1 * n1)
-    try:
-        return np.linalg.inv(blocks.reshape(num_faces, n1, n1))
-    except np.linalg.LinAlgError as exc:
-        raise AssemblyError("singular face block in preconditioner") from exc
-
-
-def _family_preconditioner(inv, mesh):
-    """Apply the per-face inverse blocks ``inv`` of :func:`_block_jacobi`
-    from the few that differ.  Returns the apply and the bytes it holds.
+def _block_jacobi(schur, num_faces, n1, mesh):
+    """The block-Jacobi preconditioner of H on ``num_faces`` faces of ``n1``
+    nodes: each face's diagonal block inverted, applied per face family.
+    Returns the apply and the bytes it holds.
 
     Every element shares one Schur block, so a face's block depends only on
-    its family and its position along the line: the interior faces of a
-    family share one, and on a wall axis each end face has its own.  Each
-    family is applied as one GEMM with the interior block on its
-    (lines * faces, p+1) view, and the two end faces of a wall axis are
-    redone with theirs.  The blocks are copied out by position, so ``inv``
-    itself is not held.
+    its family and its position along the line, and only the distinct ones
+    are formed, at most six.  Each sums the Schur sub-blocks (s, t) of the
+    element sides on that face, lo and hi being west and east for x, south
+    and north for y: (hi, hi) + (lo, lo) on an interior face, and (lo, lo)
+    or (hi, hi) alone on a wall axis's low or high end.  A one-cell periodic
+    axis wraps an element onto itself, so its face sums all four pairs of
+    its two sides, (s, t) ascending; a one-cell wall axis has no interior
+    face, and its high end stands in.  Each family is applied as one GEMM
+    with the interior block on its (lines * faces, p+1) view, and a wall
+    axis's two end faces are redone with theirs.
     """
-    n1 = inv.shape[-1]
+    sub = schur.reshape(4, n1, 4, n1).swapaxes(1, 2)
     nfx, nfy = _line_faces(mesh.nx, mesh.bc_x), _line_faces(mesh.ny, mesh.bc_y)
-    families = []
+    families, faces = [], []
     # each family as (lines before, positions, lines after): vertical faces
     # by y-row, then x-line; horizontal ones by y-line, then x-column
-    for first, shape, bc in ((0, (mesh.ny, nfx, 1), mesh.bc_x),
-                             (mesh.num_vertical_faces, (1, nfy, mesh.nx), mesh.bc_y)):
-        # the interior block, then a wall axis's low and high end; a
-        # one-cell wall axis has no interior face, and its high end stands
-        # in, as the redone ends are all its faces
-        at = np.array([0] if bc == PERIODIC else [1, 0, shape[1] - 1])
+    for first, shape, bc, lo, hi in ((0, (mesh.ny, nfx, 1), mesh.bc_x, WEST, EAST),
+                                     (mesh.num_vertical_faces, (1, nfy, mesh.nx), mesh.bc_y, SOUTH, NORTH)):
+        a, b = sorted((lo, hi))
+        inner = sub[a, a] + sub[a, b] + sub[b, a] + sub[b, b] if shape[1] == 1 else sub[hi, hi] + sub[lo, lo]
+        held = [inner] if bc == PERIODIC else [inner if shape[1] > 2 else sub[hi, hi], sub[lo, lo], sub[hi, hi]]
         dofs = slice(first * n1, (first + np.prod(shape)) * n1)
-        families.append((dofs, shape + (n1,), inv[first + at * shape[2]]))
+        families.append((dofs, shape + (n1,), slice(len(faces), len(faces) + len(held))))
+        faces += held
+    try:
+        inv = np.linalg.inv(np.stack(faces))
+    except np.linalg.LinAlgError as exc:
+        raise AssemblyError("singular face block in preconditioner") from exc
 
     def apply(v):
         v = v.reshape(-1)
         out = np.empty_like(v)
-        for dofs, shape, held in families:
-            vf, of = v[dofs].reshape(shape), out[dofs].reshape(shape)
+        for dofs, shape, at in families:
+            held, vf, of = inv[at], v[dofs].reshape(shape), out[dofs].reshape(shape)
             np.matmul(vf.reshape(-1, n1), held[0].T, out=of.reshape(-1, n1))
             if len(held) > 1:
                 of[:, 0] = vf[:, 0] @ held[1].T
                 of[:, -1] = vf[:, -1] @ held[2].T
         return out
 
-    return apply, sum(held.nbytes for _, _, held in families)
+    return apply, inv.nbytes
 
 
 def implicit_solve(system, rhs_field):

@@ -6,8 +6,9 @@ solve paths beyond the basis nodes/weights/differentiation matrix and the
 GLL node coordinates (which have their own analytic tests).  The one
 exceptions are ``face_path_tendency``, which checks only the face path of
 the explicit tendency and so takes the element operators as given, and
-``trace_matrix``, which takes the element Schur block as given and checks
-the trace solves that start from it.  ``imex_step_every_stage`` is the
+``trace_matrix`` and ``block_jacobi``, which take the element Schur block
+as given and check the trace solves and the preconditioner that start from
+it.  ``imex_step_every_stage`` is the
 IMEX tableau formula written out stage by stage.
 """
 
@@ -15,6 +16,7 @@ import numpy as np
 import scipy.sparse
 
 from swemix.basis import element_operators
+from swemix.errors import AssemblyError
 from swemix.mesh import EAST, NORTH, PERIODIC, SIDE_NORMALS, SOUTH, WEST, gll_node_coords
 from swemix.swe import flux_full, flux_nonlinear, source
 
@@ -471,7 +473,7 @@ def mesh_tables_loop(nx, ny, bounds, bc_x, bc_y):
     }
 
 
-# --- Legacy sparse trace matrix -------------------------------------------------
+# --- Legacy sparse trace matrix and per-face block-Jacobi -----------------------
 
 def trace_matrix(blocks, mesh, basis):
     """Scatter the element Schur complements into the sparse trace matrix H."""
@@ -484,6 +486,24 @@ def trace_matrix(blocks, mesh, basis):
     cols = np.tile(ids32, (1, 4 * n1)).ravel()
     data = np.tile(blocks.schur.ravel(), mesh.num_elements)
     return scipy.sparse.coo_matrix((data, (rows, cols)), shape=(ndof, ndof)).tocsc()
+
+
+def block_jacobi(schur, num_faces, n1, elem_faces):
+    """Inverse of the per-face diagonal blocks of H, (num_faces, n1, n1).
+
+    A face's block sums the Schur sub-blocks (s, t) of every element side
+    pair that lands on it: (s, s) always, and (east, west) and (west, east),
+    or (north, south) and (south, north), where a one-cell periodic axis
+    wraps an element onto itself.
+    """
+    sub = schur.reshape(4, n1, 4, n1).swapaxes(1, 2)
+    elem, s, t = np.nonzero(elem_faces[:, :, None] == elem_faces[:, None, :])
+    at = (elem_faces[elem, s] * n1 * n1)[:, None] + np.arange(n1 * n1)
+    blocks = np.bincount(at.ravel(), weights=sub[s, t].ravel(), minlength=num_faces * n1 * n1)
+    try:
+        return np.linalg.inv(blocks.reshape(num_faces, n1, n1))
+    except np.linalg.LinAlgError as exc:
+        raise AssemblyError("singular face block in preconditioner") from exc
 
 
 # --- Legacy VTK writer and reader ---------------------------------------------

@@ -1,10 +1,21 @@
+import math
 import os
 import re
+import tempfile
+import warnings
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from swemix import driver, imex
+from swemix import config, driver, imex
+from swemix.basis import MAX_ORDER
+from swemix.cases import case_names
 from swemix.cli import main
+from swemix.hdg import BACKENDS
+from swemix.mesh import PERIODIC, WALL
 
 CONFIG = """
 case.name = lake_at_rest
@@ -135,6 +146,31 @@ output.dir = {out}
     assert err.startswith("solver failure: step 1 (t = 2): non-positive geopotential in element 0 "), err
 
 
+def test_run_overflowing_diagnostics_name_the_step(tmp_path, capsys):
+    # the state stays finite, but its energy and its U and V errors
+    # overflow when squared: a solver failure, not inf in the CSV
+    cfg = tmp_path / "overflow.cfg"
+    cfg.write_text(
+        """
+case.name = mms_nonlinear
+physics.beta = 1e300
+case.amplitude = 1e-300
+mesh.nx = 1
+mesh.ny = 1
+disc.order = 1
+time.scheme = ars233
+time.dt = 1e-10
+time.t_final = 1e-10
+output.dir = {out}
+""".format(out=tmp_path / "out")
+    )
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err == "solver failure: step 1 (t = 1e-10): non-finite diagnostics: energy, l2_u, l2_v\n", err
+    assert not (tmp_path / "out" / "series.csv").exists()
+
+
 def test_convergence_subcommand(tmp_path, capsys):
     cfg = tmp_path / "conv.cfg"
     cfg.write_text(
@@ -213,3 +249,88 @@ output.dir = {out}
     )
     assert main(["run", str(cfg)]) == 2
     assert "solver failure" in capsys.readouterr().err
+
+
+
+
+# per key, the values a run usually takes, then the edge values a few
+# keys of each config take instead: 0, negatives, 1e-300, 1e300, unknown
+# names, and left out for the required keys; the test sets output.dir and
+# output.csv_series itself
+_EDGE = ("0", "-1", "1e-300", "1e300", "-1e300")
+_KEYS = {
+    "mesh.nx": (st.sampled_from(("1", "2", "3")), ("-1", "0")),
+    "mesh.ny": (st.sampled_from(("1", "2", "3")), ("-1", "0")),
+    "mesh.xmin": (st.none(), _EDGE),
+    "mesh.xmax": (st.none(), _EDGE),
+    "mesh.ymin": (st.none(), _EDGE),
+    "mesh.ymax": (st.none(), _EDGE),
+    "mesh.bc_x": (st.sampled_from((None, WALL, PERIODIC)), ("bogus",)),
+    "mesh.bc_y": (st.sampled_from((None, WALL, PERIODIC)), ("bogus",)),
+    "disc.order": (st.sampled_from(("1", "2", "3")), ("-1", "0", str(MAX_ORDER + 1))),
+    "disc.tau": (st.sampled_from((None, "0.5", "2")), _EDGE),
+    "physics.phi_bar": (st.sampled_from((None, "2")), _EDGE),
+    "physics.f0": (st.none(), _EDGE),
+    "physics.beta": (st.none(), _EDGE),
+    "physics.drag": (st.none(), _EDGE),
+    "time.dt": (st.sampled_from(("0.01", "0.5")), (None,) + _EDGE),
+    "time.t_final": (st.sampled_from((1, 2, 3)), (None, -1, 0, "1e300")),  # steps
+    "time.scheme": (st.sampled_from(imex.scheme_names()), ("bogus",)),
+    "case.name": (st.sampled_from(case_names()), (None, "bogus")),
+    "case.amplitude": (st.none(), _EDGE),
+    "case.linear_mode": (st.sampled_from((None, "true", "false")), ("yes",)),
+    "solver.backend": (st.sampled_from(BACKENDS), ("bogus",)),
+    "solver.rel_tol": (st.none(), _EDGE),
+    "solver.max_iter": (st.none(), ("-1", "0", "1")),
+    "output.vtk_every_n_steps": (st.sampled_from((None, "0", "1")), ("-1", "2")),
+}
+
+
+@st.composite
+def _edge_configs(draw):
+    """Config text on at most 3 x 3 cells and 3 steps, with up to three
+    keys at edge values.  ``time.t_final`` is drawn as a number of steps
+    of ``time.dt``, or as 1e300 where that is not 4 or more finite steps."""
+    values = {key: draw(usual) for key, (usual, _) in _KEYS.items()}
+    for key in draw(st.lists(st.sampled_from(sorted(_KEYS)), max_size=3, unique=True)):
+        values[key] = draw(st.sampled_from(_KEYS[key][1]))
+    dt, steps = float(values["time.dt"] or 0.0), values["time.t_final"]
+    if steps == "1e300":
+        assume(not (dt > 0.0 and 3.0 < 1e300 / dt < math.inf))
+    elif steps is not None:
+        values["time.t_final"] = repr(steps * dt)
+    return "".join(f"{key} = {v}\n" for key, v in values.items() if v is not None)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_edge_configs())
+@example("case.name = mms_nonlinear\nphysics.beta = 1e300\ncase.amplitude = 1e-300\nmesh.nx = 1\nmesh.ny = 1\n"
+         "disc.order = 1\ntime.scheme = ars233\ntime.dt = 1e-10\ntime.t_final = 1e-10\n")
+@example("case.name = standing_wave\ntime.dt = 1e-300\ntime.t_final = 1e300\n")
+def test_run_exit_codes_over_edge_configs(text):
+    # exit 0, 1 or 2 and no exception; an exit 0 ends on a finite state,
+    # wet in nonlinear mode, and writes no nan or inf to its CSV
+    assert set(_KEYS) | {"output.dir", "output.csv_series"} == set(config._KEY_TYPES)
+    runs = []
+    real_run = driver.run
+
+    def run(cfg, quiet=False):
+        runs.append((cfg, real_run(cfg, quiet=quiet)))
+        return runs[-1][1]
+
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(driver, "run", run), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        path = os.path.join(tmp, "run.cfg")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text + f"output.dir = {tmp}/out\noutput.csv_series = true\n")
+        code = main(["run", path])
+        assert code in (0, 1, 2), text
+        if code == 0:
+            (cfg, result), = runs
+            q = result.final_field
+            assert np.all(np.isfinite(q.data)), text
+            assert cfg.case.linear_mode or np.min(q.phi_prime) > -cfg.physics.phi_bar, text
+            with open(result.csv_path, encoding="ascii") as fh:
+                csv = fh.read()
+            assert "nan" not in csv and "inf" not in csv, text

@@ -96,6 +96,12 @@ def test_t_final_must_be_whole_steps():
     assert parse_text("case.name = lake_at_rest\ntime.dt = 0.1\ntime.t_final = 0.3\n").time.t_final == 0.3
 
 
+def test_step_count_that_overflows_is_rejected():
+    # 1e300 / 1e-300 is inf: a config error, not an OverflowError from round
+    with pytest.raises(InvalidValueError, match=r"time\.t_final: t_final / dt overflows: 1e\+300 / 1e-300"):
+        parse_text("case.name = lake_at_rest\ntime.dt = 1e-300\ntime.t_final = 1e300\n")
+
+
 def test_cross_field_validation():
     with pytest.raises(InvalidValueError):
         parse_text("case.name = lake_at_rest\ntime.dt = 0.5\ntime.t_final = 0.1\n")

@@ -17,7 +17,6 @@ from swemix.hdg import (
     condense_and_factor,
     implicit_solve,
     _block_jacobi,
-    _family_preconditioner,
     local_matrices,
     trace_modes,
 )
@@ -254,6 +253,14 @@ def test_trace_path_follows_boundary_kinds(monkeypatch):
         assert _rel(qg.data, qd.data) <= 1e-9, bcs
 
 
+def _face_inverses(apply, num_faces, n1):
+    """Each face's inverse block, (num_faces, n1, n1), read off the
+    preconditioner: applied to node j of every face, it returns column j
+    of each face's block."""
+    columns = [apply(np.tile(np.eye(n1)[j], num_faces)).reshape(-1, n1) for j in range(n1)]
+    return np.stack(columns, axis=-1)
+
+
 @pytest.mark.parametrize("bcs", ALL_PAIRS)
 @pytest.mark.parametrize("shape", [(1, 1), (1, 3), (3, 1), (3, 2)])
 def test_block_jacobi_inverts_the_face_blocks_of_H(bcs, shape):
@@ -267,24 +274,24 @@ def test_block_jacobi_inverts_the_face_blocks_of_H(bcs, shape):
         H = oracles.trace_matrix(blocks, mesh, basis).toarray()
         faces = np.arange(mesh.num_faces)
         diag = H.reshape(mesh.num_faces, n1, mesh.num_faces, n1)[faces, :, faces]
-        inv = _block_jacobi(blocks.schur, mesh.num_faces, n1, mesh.elem_faces)
+        apply, _ = _block_jacobi(blocks.schur, mesh.num_faces, n1, mesh)
+        inv = _face_inverses(apply, mesh.num_faces, n1)
         assert np.max(np.abs(inv @ diag - np.eye(n1))) <= 1e-13, alpha
 
 
 @pytest.mark.parametrize("bcs", ALL_PAIRS)
 @pytest.mark.parametrize("shape", [(1, 1), (1, 3), (3, 1), (3, 2), (5, 4)])
 def test_family_preconditioner_expands_to_the_face_blocks(bcs, shape):
-    # applied to node j of every face, the preconditioner returns column j
-    # of each face's inverse block, exactly: the few blocks it holds,
-    # expanded by position, are the per-face blocks bit for bit, one-cell
-    # periodic axes and their cross terms included
+    # the few blocks the preconditioner forms from the Schur sub-blocks,
+    # expanded by position, are the inverses of the per-face blocks summed
+    # over every element side pair bit for bit, one-cell periodic axes and
+    # their cross terms included
     mesh = build_structured(*shape, BOUNDS, *bcs)
     n1 = nodal_basis(2).n
     blocks = assemble_local(mesh, nodal_basis(2), P2, 0.05, P2.wave_speed)
-    inv = _block_jacobi(blocks.schur, mesh.num_faces, n1, mesh.elem_faces)
-    apply, _ = _family_preconditioner(inv, mesh)
-    columns = [apply(np.tile(np.eye(n1)[j], mesh.num_faces)).reshape(-1, n1) for j in range(n1)]
-    assert np.array_equal(np.stack(columns, axis=-1), inv)
+    apply, _ = _block_jacobi(blocks.schur, mesh.num_faces, n1, mesh)
+    per_face = oracles.block_jacobi(blocks.schur, mesh.num_faces, n1, mesh.elem_faces)
+    assert np.array_equal(_face_inverses(apply, mesh.num_faces, n1), per_face)
 
 
 def test_singular_symbol_raises_assembly_error():
@@ -295,6 +302,10 @@ def test_singular_symbol_raises_assembly_error():
         singular = LocalBlocks(blocks.forward, blocks.A_inv_B, np.zeros_like(blocks.schur))
         with pytest.raises(AssemblyError, match="singular"):
             condense_and_factor(singular, mesh, basis)
+        # the gmres set-up inverts only its distinct face blocks, and a
+        # singular one is an assembly error too
+        with pytest.raises(AssemblyError, match="singular face block"):
+            condense_and_factor(singular, mesh, basis, backend="gmres")
 
 
 def test_unknown_backend_rejected():
