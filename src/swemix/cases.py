@@ -1,6 +1,6 @@
 """Canonical test problems: rest state, linear standing wave, manufactured
 nonlinear solution.  Each case bundles its domain, boundary kinds, physics,
-initial data, and (where available) the exact solution and injected source.
+initial data and exact solution, and, where it needs one, an injected source.
 """
 
 from dataclasses import dataclass
@@ -21,7 +21,7 @@ class TestCase:
     bc_x: str
     bc_y: str
     initial_state: Callable  # (x, y) -> (..., 3)
-    exact_solution: Optional[Callable] = None  # (x, y, t) -> (..., 3)
+    exact_solution: Callable  # (x, y, t) -> (..., 3); every case has one
     mms_source: Optional[Callable] = None  # (x, y, t) -> (..., 3)
 
 

@@ -195,18 +195,14 @@ def write_vtk(field, path, phi_bar):
 class CsvSeriesWriter:
     """Accumulate one diagnostics row per step and write deterministically."""
 
-    def __init__(self, path, with_errors):
-        self.path = path
-        self.with_errors = with_errors
-        header = ["step", "t", "mass", "energy"]
-        if with_errors:
-            header += ["l2_phi", "l2_u", "l2_v"]
-        self.rows = [",".join(header)]
+    DIAGNOSTICS = ("mass", "energy", "l2_phi", "l2_u", "l2_v")
 
-    def add(self, step, t, mass, energy, errors=None):
-        row = [str(step), _fmt(t), _fmt(mass), _fmt(energy)]
-        if self.with_errors:
-            row += [_fmt(v) for v in errors]
+    def __init__(self, path):
+        self.path = path
+        self.rows = [",".join(("step", "t") + self.DIAGNOSTICS)]
+
+    def add(self, step, t, mass, energy, errors):
+        row = [str(step), _fmt(t), _fmt(mass), _fmt(energy)] + [_fmt(v) for v in errors]
         self.rows.append(",".join(row))
 
     def write(self):

@@ -146,9 +146,11 @@ output.dir = {out}
     assert err.startswith("solver failure: step 1 (t = 2): non-positive geopotential in element 0 "), err
 
 
-def test_run_overflowing_diagnostics_name_the_step(tmp_path, capsys):
+@pytest.mark.parametrize("csv_series", ["true", "false"])
+def test_run_overflowing_diagnostics_name_the_step(tmp_path, capsys, csv_series):
     # the state stays finite, but its energy and its U and V errors
-    # overflow when squared: a solver failure, not inf in the CSV
+    # overflow when squared: a solver failure, not inf in the CSV or in
+    # the summary of a run without one
     cfg = tmp_path / "overflow.cfg"
     cfg.write_text(
         """
@@ -162,12 +164,14 @@ time.scheme = ars233
 time.dt = 1e-10
 time.t_final = 1e-10
 output.dir = {out}
-""".format(out=tmp_path / "out")
+output.csv_series = {csv_series}
+""".format(out=tmp_path / "out", csv_series=csv_series)
     )
     with pytest.warns(RuntimeWarning, match="overflow"):
         assert main(["run", str(cfg)]) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert err == "solver failure: step 1 (t = 1e-10): non-finite diagnostics: energy, l2_u, l2_v\n", err
+    assert out == "", out
     assert not (tmp_path / "out" / "series.csv").exists()
 
 
@@ -255,8 +259,8 @@ output.dir = {out}
 
 # per key, the values a run usually takes, then the edge values a few
 # keys of each config take instead: 0, negatives, 1e-300, 1e300, unknown
-# names, and left out for the required keys; the test sets output.dir and
-# output.csv_series itself
+# names, and left out for the required keys; the test sets output.dir
+# itself
 _EDGE = ("0", "-1", "1e-300", "1e300", "-1e300")
 _KEYS = {
     "mesh.nx": (st.sampled_from(("1", "2", "3")), ("-1", "0")),
@@ -283,6 +287,7 @@ _KEYS = {
     "solver.rel_tol": (st.none(), _EDGE),
     "solver.max_iter": (st.none(), ("-1", "0", "1")),
     "output.vtk_every_n_steps": (st.sampled_from((None, "0", "1")), ("-1", "2")),
+    "output.csv_series": (st.sampled_from(("true", "false")), ("yes",)),
 }
 
 
@@ -306,11 +311,15 @@ def _edge_configs(draw):
 @given(_edge_configs())
 @example("case.name = mms_nonlinear\nphysics.beta = 1e300\ncase.amplitude = 1e-300\nmesh.nx = 1\nmesh.ny = 1\n"
          "disc.order = 1\ntime.scheme = ars233\ntime.dt = 1e-10\ntime.t_final = 1e-10\n")
+@example("case.name = mms_nonlinear\nphysics.beta = 1e300\ncase.amplitude = 1e-300\nmesh.nx = 1\nmesh.ny = 1\n"
+         "disc.order = 1\ntime.scheme = ars233\ntime.dt = 1e-10\ntime.t_final = 1e-10\n"
+         "output.csv_series = false\n")
 @example("case.name = standing_wave\ntime.dt = 1e-300\ntime.t_final = 1e300\n")
 def test_run_exit_codes_over_edge_configs(text):
     # exit 0, 1 or 2 and no exception; an exit 0 ends on a finite state,
-    # wet in nonlinear mode, and writes no nan or inf to its CSV
-    assert set(_KEYS) | {"output.dir", "output.csv_series"} == set(config._KEY_TYPES)
+    # wet in nonlinear mode, with a finite mass drift and finite errors,
+    # and writes no nan or inf to its CSV
+    assert set(_KEYS) | {"output.dir"} == set(config._KEY_TYPES)
     runs = []
     real_run = driver.run
 
@@ -323,7 +332,7 @@ def test_run_exit_codes_over_edge_configs(text):
         warnings.simplefilter("ignore", RuntimeWarning)
         path = os.path.join(tmp, "run.cfg")
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + f"output.dir = {tmp}/out\noutput.csv_series = true\n")
+            fh.write(text + f"output.dir = {tmp}/out\n")
         code = main(["run", path])
         assert code in (0, 1, 2), text
         if code == 0:
@@ -331,6 +340,9 @@ def test_run_exit_codes_over_edge_configs(text):
             q = result.final_field
             assert np.all(np.isfinite(q.data)), text
             assert cfg.case.linear_mode or np.min(q.phi_prime) > -cfg.physics.phi_bar, text
-            with open(result.csv_path, encoding="ascii") as fh:
-                csv = fh.read()
-            assert "nan" not in csv and "inf" not in csv, text
+            assert np.isfinite(result.mass_drift) and np.all(np.isfinite(result.final_errors)), text
+            assert (result.csv_path is not None) == cfg.output.csv_series, text
+            if cfg.output.csv_series:
+                with open(result.csv_path, encoding="ascii") as fh:
+                    csv = fh.read()
+                assert "nan" not in csv and "inf" not in csv, text

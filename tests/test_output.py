@@ -277,7 +277,7 @@ def test_vtk_unwritable_path(tmp_path):
 
 def test_csv_writer_deterministic(tmp_path):
     def make(path):
-        w = CsvSeriesWriter(str(path), with_errors=True)
+        w = CsvSeriesWriter(str(path))
         w.add(0, 0.0, 1.0, 0.5, np.array([1e-3, 2e-3, 3e-3]))
         w.add(1, 0.1, 1.0 + 1e-15, 0.49, np.array([1.1e-3, 2.1e-3, 3.1e-3]))
         return w.write()
