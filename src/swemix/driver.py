@@ -201,11 +201,11 @@ def run(cfg, quiet=False):
     node_xy = sim.dg_op.node_xy
 
     out_dir = cfg.output.dir
-    if cfg.output.csv_series or cfg.output.vtk_every_n_steps:
+    vtk_every = cfg.output.vtk_every_n_steps
+    if cfg.output.csv_series or vtk_every:
         # a directory that cannot be made fails the run before its first step
         make_output_dir(out_dir)
     writer = CsvSeriesWriter(os.path.join(out_dir, "series.csv")) if cfg.output.csv_series else None
-    vtk_every = cfg.output.vtk_every_n_steps
     vtk_paths = []
 
     def snapshot(step, field):
