@@ -10,7 +10,7 @@ import argparse
 import os
 
 from swemix.config import parse_text
-from swemix.driver import convergence
+from swemix.driver import convergence, make_output_dir
 
 TEMPLATE = """
 case.name = standing_wave
@@ -32,6 +32,8 @@ def main():
     ap.add_argument("--t-final", type=float, default=0.25)
     ap.add_argument("--out", default="out/spatial")
     args = ap.parse_args()
+    # the CSVs are written after the study: fail on their directory first
+    make_output_dir(args.out)
 
     for order in args.orders:
         cfg = parse_text(

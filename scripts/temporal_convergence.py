@@ -9,7 +9,7 @@ import argparse
 import os
 
 from swemix.config import parse_text
-from swemix.driver import convergence
+from swemix.driver import convergence, make_output_dir
 
 TEMPLATE = """
 case.name = mms_nonlinear
@@ -34,6 +34,8 @@ def main():
     ap.add_argument("--t-final", type=float, default=0.5)
     ap.add_argument("--out", default="out/temporal")
     args = ap.parse_args()
+    # the CSVs are written after the study: fail on their directory first
+    make_output_dir(args.out)
 
     for scheme in args.schemes:
         cfg = parse_text(TEMPLATE.format(scheme=scheme, nx=args.nx, t_final=args.t_final, out=args.out))

@@ -21,7 +21,7 @@ from .dg import ExplicitOperator, StateField, _dry_element_error, nodal_field
 from .errors import DryStateError, InvalidArgumentError, InvalidValueError, SolverFailureError
 from .hdg import ImplicitSolverBank
 from .mesh import build_structured
-from .output import CsvSeriesWriter, write_vtk
+from .output import CsvSeriesWriter, _fmt, write_vtk
 from .swe import ModelParams
 
 
@@ -282,11 +282,10 @@ class ConvergenceResult:
     def to_csv(self, path):
         rows = ["level,spacing,l2_phi,l2_u,l2_v,rate_phi,rate_u,rate_v"]
         for i, lev in enumerate(self.levels):
-            rate = ["", "", ""] if i == 0 else [f"{r:.17g}" for r in self.rates[i - 1]]
-            e = [f"{v:.17g}" for v in self.errors[i]]
-            rows.append(",".join([str(lev), f"{self.spacings[i]:.17g}"] + e + rate))
-        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-        with open(path, "w", encoding="ascii") as fh:
+            rate = ["", "", ""] if i == 0 else [_fmt(r) for r in self.rates[i - 1]]
+            e = [_fmt(v) for v in self.errors[i]]
+            rows.append(",".join([str(lev), _fmt(self.spacings[i])] + e + rate))
+        with open(path, "w", encoding="ascii", newline="\n") as fh:
             fh.write("\n".join(rows) + "\n")
         return path
 

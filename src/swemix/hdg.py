@@ -37,7 +37,8 @@ their node vectors, applied by GEMM.  The one solve covers all four
 boundary pairs.  The gmres backend iterates on H applied element by
 element, from the same Schur block, and never assembles it either; its
 block-Jacobi preconditioner forms only the distinct face blocks, at most
-six.
+six.  Both read each face family of the trace as the mesh stores it, a
+(face lines, cells, p+1) grid, with no transposes.
 """
 
 from dataclasses import dataclass
@@ -50,7 +51,7 @@ import scipy.sparse.linalg
 from .basis import element_operators
 from .dg import StateField
 from .errors import AssemblyError, InvalidArgumentError, SolverFailureError
-from .mesh import EAST, NORTH, PERIODIC, SIDE_NORMALS, SOUTH, WEST, _line_faces
+from .mesh import EAST, NORTH, PERIODIC, SIDE_NORMALS, SOUTH, WEST
 
 BACKENDS = ("direct", "gmres")  # trace solvers of condense_and_factor
 
@@ -183,8 +184,8 @@ class _Axis:
     and J-odd node vectors of the faces along it.  A periodic axis holds
     none and is applied by ``np.fft``, keeping only the ``rfft``
     wavenumbers k <= n/2 when ``half`` is set.  A face family is passed as
-    a 2-D array: ``axis`` 0 runs over the faces across this axis, ``axis``
-    1 over the cells along it, p+1 nodes each.
+    stored, a 2-D array: ``axis`` 0 runs over the face lines across this
+    axis, ``axis`` 1 over the cells along it, p+1 nodes each.
     """
 
     n: int
@@ -299,21 +300,21 @@ def _mode_solve(blocks, mesh, basis):
         inv = np.linalg.inv(G)
     except np.linalg.LinAlgError as exc:
         raise AssemblyError(f"condensed trace system is singular: {exc}") from exc
-    n1, nx, ny = basis.n, mesh.nx, mesh.ny
+    n1 = basis.n
     ky, kx = inv.shape[:2]
-    n_vert = mesh.num_vertical_faces * n1
+    (_, _, ny), (first, _, nx) = mesh.face_families
 
     def solve(g):
-        # vertical faces as (nfx, ny (p+1)), horizontal ones as (nfy, nx (p+1))
-        vert = g[:n_vert].reshape(ny, -1, n1).swapaxes(0, 1).reshape(-1, ny * n1)
-        horiz = g[n_vert:].reshape(-1, nx * n1)
+        # each family as the mesh stores it, a (face lines, cells (p+1)) grid
+        vert = g[: first * n1].reshape(-1, ny * n1)
+        horiz = g[first * n1 :].reshape(-1, nx * n1)
         hat = np.empty((ky, kx, 2, n1), inv.dtype)
         hat[:, :, 0] = y.analyse(x.analyse(horiz, 1), 0).reshape(ky, kx, n1)
         hat[:, :, 1] = y.analyse(x.analyse(vert, 0), 1).reshape(kx, ky, n1).swapaxes(0, 1)
         lam = (inv @ hat.reshape(ky, kx, 2 * n1, 1)).reshape(ky, kx, 2, n1)
         horiz = x.synthesise(y.synthesise(lam[:, :, 0].reshape(ky, -1), 0), 1)
         vert = x.synthesise(y.synthesise(lam[:, :, 1].swapaxes(0, 1).reshape(kx, -1), 1), 0)
-        return np.concatenate([vert.reshape(-1, ny, n1).swapaxes(0, 1).ravel(), horiz.ravel()])
+        return np.concatenate([vert.ravel(), horiz.ravel()])
 
     held = [a for axis in (x, y) for a in (axis.faces, axis.cells) if a is not None]
     return solve, inv.nbytes + sum(a.nbytes for a in held)
@@ -329,8 +330,8 @@ def condense_and_factor(blocks, mesh, basis, backend="direct", rel_tol=1e-10, ma
     sum_K P_K^T S P_K, S the element Schur block and P_K the gather of the
     element's trace dofs, and runs restarted GMRES to ``rel_tol`` with a
     block-Jacobi preconditioner; ``max_iter`` counts restart cycles.  A
-    face's block depends only on its family and its position along the
-    line, so the set-up forms and inverts only the distinct face blocks
+    face's block depends only on its family and its face line, so the
+    set-up forms and inverts only the distinct face blocks
     (:func:`_block_jacobi`), at most six, and applies each family by GEMM.
     """
     if backend not in BACKENDS:
@@ -372,7 +373,7 @@ def _block_jacobi(schur, num_faces, n1, mesh):
     Returns the apply and the bytes it holds.
 
     Every element shares one Schur block, so a face's block depends only on
-    its family and its position along the line, and only the distinct ones
+    its family and its face line, and only the distinct ones
     are formed, at most six.  Each sums the Schur sub-blocks (s, t) of the
     element sides on that face, lo and hi being west and east for x, south
     and north for y: (hi, hi) + (lo, lo) on an interior face, and (lo, lo)
@@ -380,21 +381,18 @@ def _block_jacobi(schur, num_faces, n1, mesh):
     axis wraps an element onto itself, so its face sums all four pairs of
     its two sides, (s, t) ascending; a one-cell wall axis has no interior
     face, and its high end stands in.  Each family is applied as one GEMM
-    with the interior block on its (lines * faces, p+1) view, and a wall
-    axis's two end faces are redone with theirs.
+    with the interior block on its (lines * cells, p+1) view, and a wall
+    axis's first and last lines, each contiguous, are redone with theirs.
     """
     sub = schur.reshape(4, n1, 4, n1).swapaxes(1, 2)
-    nfx, nfy = _line_faces(mesh.nx, mesh.bc_x), _line_faces(mesh.ny, mesh.bc_y)
     families, faces = [], []
-    # each family as (lines before, positions, lines after): vertical faces
-    # by y-row, then x-line; horizontal ones by y-line, then x-column
-    for first, shape, bc, lo, hi in ((0, (mesh.ny, nfx, 1), mesh.bc_x, WEST, EAST),
-                                     (mesh.num_vertical_faces, (1, nfy, mesh.nx), mesh.bc_y, SOUTH, NORTH)):
+    bcs, sides = (mesh.bc_x, mesh.bc_y), ((WEST, EAST), (SOUTH, NORTH))
+    for (first, lines, cells), bc, (lo, hi) in zip(mesh.face_families, bcs, sides):
         a, b = sorted((lo, hi))
-        inner = sub[a, a] + sub[a, b] + sub[b, a] + sub[b, b] if shape[1] == 1 else sub[hi, hi] + sub[lo, lo]
-        held = [inner] if bc == PERIODIC else [inner if shape[1] > 2 else sub[hi, hi], sub[lo, lo], sub[hi, hi]]
-        dofs = slice(first * n1, (first + np.prod(shape)) * n1)
-        families.append((dofs, shape + (n1,), slice(len(faces), len(faces) + len(held))))
+        inner = sub[a, a] + sub[a, b] + sub[b, a] + sub[b, b] if lines == 1 else sub[hi, hi] + sub[lo, lo]
+        held = [inner] if bc == PERIODIC else [inner if lines > 2 else sub[hi, hi], sub[lo, lo], sub[hi, hi]]
+        dofs = slice(first * n1, (first + lines * cells) * n1)
+        families.append((dofs, (lines, cells, n1), slice(len(faces), len(faces) + len(held))))
         faces += held
     try:
         inv = np.linalg.inv(np.stack(faces))
@@ -408,8 +406,8 @@ def _block_jacobi(schur, num_faces, n1, mesh):
             held, vf, of = inv[at], v[dofs].reshape(shape), out[dofs].reshape(shape)
             np.matmul(vf.reshape(-1, n1), held[0].T, out=of.reshape(-1, n1))
             if len(held) > 1:
-                of[:, 0] = vf[:, 0] @ held[1].T
-                of[:, -1] = vf[:, -1] @ held[2].T
+                of[0] = vf[0] @ held[1].T
+                of[-1] = vf[-1] @ held[2].T
         return out
 
     return apply, inv.nbytes

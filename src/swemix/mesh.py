@@ -9,13 +9,13 @@ the face, which coincides with both incident elements' local orderings on
 a structured mesh.
 
 Faces are numbered by one rule, applied to each axis in turn: along a
-line of n cells, face k lies between cells k-1 and k.  On a periodic axis
-there are n faces and cell -1 is cell n-1; on a wall axis there are n+1,
-and the two end faces belong to one element only.  Vertical faces come
-first (by y-row, then x-line), then horizontal faces (by y-line, then
-x-column).  ``elem_faces`` maps each element side to its face.  So on a
-doubly periodic mesh each cell owns its west and south faces,
-``elem_faces[e, WEST] == e`` and ``elem_faces[e, SOUTH] == nelem + e``.
+line of n cells, face line k lies between cells k-1 and k.  On a periodic
+axis there are n face lines and cell -1 is cell n-1; on a wall axis there
+are n+1, and the faces of the two end lines belong to one element only.
+The faces normal to x come first, then those normal to y, each family a
+(face lines, cells) grid: line by line across its axis, and in cell order
+along the other (:attr:`Mesh.face_families`).  ``elem_faces`` maps each
+element side to its face: cell (ix, iy) owns the west face ix * ny + iy.
 """
 
 from dataclasses import dataclass
@@ -54,12 +54,15 @@ class Mesh:
 
     @property
     def num_faces(self):
-        return self.num_vertical_faces + _line_faces(self.ny, self.bc_y) * self.nx
+        first, lines, cells = self.face_families[1]
+        return first + lines * cells
 
     @property
-    def num_vertical_faces(self):
-        """The faces normal to x, numbered before the horizontal ones."""
-        return _line_faces(self.nx, self.bc_x) * self.ny
+    def face_families(self):
+        """The faces normal to x, then those normal to y, each as ``(first,
+        lines, cells)``: face ids ``first`` on, a (lines, cells) grid."""
+        nfx = _line_faces(self.nx, self.bc_x)
+        return (0, nfx, self.ny), (nfx * self.ny, _line_faces(self.ny, self.bc_y), self.nx)
 
 
 def _line_faces(cells, bc):
@@ -81,12 +84,12 @@ def build_structured(nx, ny, bounds, bc_x=WALL, bc_y=WALL):
     hx = (xmax - xmin) / nx
     hy = (ymax - ymin) / ny
     iy, ix = np.divmod(np.arange(nx * ny), nx)
-    # Cell k of a line owns face k; its high face is face k+1, wrapped on a
-    # periodic axis.
+    # Cell k of a line owns face line k; its high face is on line k+1,
+    # wrapped on a periodic axis.
     nfx, nfy = _line_faces(nx, bc_x), _line_faces(ny, bc_y)
-    west = iy * nfx + ix
+    west = ix * ny + iy
     south = nfx * ny + iy * nx + ix
-    east = iy * nfx + (ix + 1) % nfx
+    east = (ix + 1) % nfx * ny + iy
     north = nfx * ny + (iy + 1) % nfy * nx + ix
 
     return Mesh(

@@ -6,8 +6,8 @@ phi' as point scalars and the velocity (U/phi, V/phi, 0) as point vectors.
 POINTS and the CSV print numbers as ``%.17g``, the two data sections as
 ``% .16e``: 17 significant digits, so files round-trip float64 exactly and
 repeated runs are byte-identical.  Files are written in binary mode, so the
-bytes, "\\n" line ends included, are the same on every platform.  Neither
-writer makes directories: ``driver.run`` makes ``output.dir`` first.
+bytes, "\\n" line ends included, are the same on every platform.  No CSV
+or VTK writer makes directories: their callers make ``output.dir`` first.
 
 The POINTS, CELLS and CELL_TYPES sections depend only on the mesh and the
 basis: they are formatted once, POINTS from the (nx + ny)(p + 1) distinct

@@ -434,13 +434,14 @@ def mesh_tables_loop(nx, ny, bounds, bc_x, bc_y):
         if r_elem >= 0:
             elem_faces[r_elem, r_side] = fid
 
-    # Vertical faces (normals along x).
-    for jy in range(ny):
-        if bc_x == PERIODIC:
-            for k in range(nx):
+    # Vertical faces (normals along x), by x-line, then y-row.
+    if bc_x == PERIODIC:
+        for k in range(nx):
+            for jy in range(ny):
                 add_face(jy * nx + (k - 1) % nx, EAST, jy * nx + k, WEST, (1.0, 0.0))
-        else:
-            for k in range(nx + 1):
+    else:
+        for k in range(nx + 1):
+            for jy in range(ny):
                 if k == 0:
                     add_face(jy * nx + 0, WEST, -1, -1, (-1.0, 0.0))
                 elif k == nx:
@@ -448,7 +449,7 @@ def mesh_tables_loop(nx, ny, bounds, bc_x, bc_y):
                 else:
                     add_face(jy * nx + k - 1, EAST, jy * nx + k, WEST, (1.0, 0.0))
 
-    # Horizontal faces (normals along y).
+    # Horizontal faces (normals along y), by y-line, then x-column.
     if bc_y == PERIODIC:
         for k in range(ny):
             for ix_ in range(nx):

@@ -1,6 +1,7 @@
 import math
 import os
 import re
+import runpy
 import tempfile
 import warnings
 from unittest import mock
@@ -14,6 +15,7 @@ from swemix import config, driver, imex
 from swemix.basis import MAX_ORDER
 from swemix.cases import case_names
 from swemix.cli import main
+from swemix.errors import InvalidValueError
 from swemix.hdg import BACKENDS
 from swemix.mesh import PERIODIC, WALL
 
@@ -206,6 +208,20 @@ def test_convergence_output_dir_under_a_file_exit_code(tmp_path, capsys, monkeyp
     err = capsys.readouterr().err
     assert err.startswith("error: output.dir: cannot make ")
     assert "Traceback" not in err
+    assert runs == []
+
+
+@pytest.mark.parametrize("script", ["spatial_convergence.py", "temporal_convergence.py"])
+def test_convergence_script_output_dir_under_a_file(tmp_path, monkeypatch, script):
+    # the scripts write their CSVs after the study, so they make --out first
+    runs = []
+    monkeypatch.setattr(driver, "convergence", lambda *a, **k: runs.append(a))
+    blocker = tmp_path / "blocker"
+    blocker.write_text("file, not a directory")
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", script)
+    monkeypatch.setattr("sys.argv", [script, "--out", str(blocker / "out")])
+    with pytest.raises(InvalidValueError, match="^output.dir: cannot make "):
+        runpy.run_path(path, run_name="__main__")
     assert runs == []
 
 

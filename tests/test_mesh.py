@@ -138,8 +138,8 @@ def test_mesh_invariants(nx, ny, bcx, bcy):
     nx_faces = (nx if bcx == PERIODIC else nx + 1) * ny
     ny_faces = (ny if bcy == PERIODIC else ny + 1) * nx
     assert mesh.num_faces == nx_faces + ny_faces
-    # the faces normal to x are numbered first
-    assert mesh.num_vertical_faces == nx_faces
+    # the faces normal to x are numbered first, each family a (lines, cells) grid
+    assert mesh.face_families == ((0, nx_faces // ny, ny), (nx_faces, ny_faces // nx, nx))
     sides = mesh.elem_faces
     assert sides[:, [EAST, WEST]].max() < nx_faces <= sides[:, [SOUTH, NORTH]].min()
     if bcx == PERIODIC and bcy == PERIODIC:
@@ -182,11 +182,12 @@ def test_tables_match_loop_builder(bcx, bcy):
 @pytest.mark.parametrize("nx,ny", [(1, 1), (3, 2), (4, 5)])
 def test_periodic_cells_own_west_and_south_faces(nx, ny):
     # the numbering hdg._mode_solve reshapes the trace by: on a doubly
-    # periodic mesh, (ny, nx) vertical faces, then (ny, nx) horizontal ones
+    # periodic mesh, (nx, ny) vertical faces by x-line, then (ny, nx)
+    # horizontal ones by y-line
     mesh = build_structured(nx, ny, BOUNDS, PERIODIC, PERIODIC)
-    cells = np.arange(mesh.num_elements)
-    assert np.array_equal(mesh.elem_faces[:, WEST], cells)
-    assert np.array_equal(mesh.elem_faces[:, SOUTH], mesh.num_elements + cells)
+    iy, ix = np.divmod(np.arange(mesh.num_elements), nx)
+    assert np.array_equal(mesh.elem_faces[:, WEST], ix * ny + iy)
+    assert np.array_equal(mesh.elem_faces[:, SOUTH], mesh.num_elements + iy * nx + ix)
 
 
 def test_gll_node_coords_layout():
