@@ -53,7 +53,8 @@ class StateField:
 
     ``data`` has shape (num_elements, p+1, p+1, 3) with axes
     (element, y node, x node, component).  Supports the small amount of
-    linear algebra the time stepper needs.
+    linear algebra the time stepper needs; += and *= update ``data`` in
+    place.
     """
 
     data: np.ndarray
@@ -70,6 +71,14 @@ class StateField:
         return StateField(self.data * scalar, self.mesh, self.basis)
 
     __rmul__ = __mul__
+
+    def __iadd__(self, other):
+        self.data += other.data
+        return self
+
+    def __imul__(self, scalar):
+        self.data *= scalar
+        return self
 
     @property
     def phi_prime(self):

@@ -12,14 +12,16 @@ The stepper is generic over a "split operator pair": any object with
     implicit_solve(shift, r)     -> q solving  q - shift * G(q) = r
 
 States only need +, -, and scalar multiplication, so plain numbers, numpy
-arrays, and StateField all work.  An explicit tendency of None means N is
-identically zero there, and the stepper adds no term for it.  After an
-implicit stage the stiff tendency is recovered algebraically as
-(Q - r) / shift instead of reapplying the operator, which keeps it
-exactly consistent with the solver's view of the operator; it is formed
-only if a later row or a final weight reads it.  A tableau may therefore
-never weight the stiff tendency of a stage with a zero implicit diagonal;
-the shipped ARS tableaux never do.
+arrays, and StateField all work; the stepper updates the sums it owns
+with += and *=, which fall back to + and * for a state without them.  A
+tendency has the shape and type of its state.  An explicit tendency of
+None means N is identically zero there, and the stepper adds no term for
+it.  After an implicit stage the stiff tendency is recovered
+algebraically as (Q - r) / shift instead of reapplying the operator,
+which keeps it exactly consistent with the solver's view of the operator;
+it is formed only if a later row or a final weight reads it.  A tableau
+may therefore never weight the stiff tendency of a stage with a zero
+implicit diagonal; the shipped ARS tableaux never do.
 """
 
 from dataclasses import dataclass
@@ -203,7 +205,12 @@ def check_order_conditions(tab, up_to_order):
 
 
 def step(pair, q, t, dt, tab):
-    """Advance one IMEX step of size dt from state q at time t."""
+    """Advance one IMEX step of size dt from state q at time t.
+
+    Every stage sum and stiff tendency the step forms owns its array and
+    is updated in place; q, the explicit tendencies and the stiff
+    tendencies are only read, so the caller's q keeps its values.
+    """
     s = tab.stages
     stage_q = [None] * s
     stage_n = {}
@@ -225,15 +232,25 @@ def step(pair, q, t, dt, tab):
     def weighted_sum(w_ex, w_im):
         """q + dt sum_j (w_ex[j] N_j + w_im[j] G_j), added term by term in
         stage order; a zero weight skips its term, so an explicit tendency
-        no weight uses is never evaluated, and so does a None tendency."""
-        r = q
+        no weight uses is never evaluated, and so does a None tendency.
+
+        The sum owns its array: it starts as the first term's product, q
+        is added into it (fl(c t + q) = fl(q + c t)) and every later term
+        is added in place.  q and the tendencies are only read; with no
+        term the sum is q itself."""
+        r = None
         for j, (a_ex, a_im) in enumerate(zip(w_ex, w_im)):
             n = explicit(j) if a_ex != 0.0 else None
-            if n is not None:
-                r = r + (dt * a_ex) * n
-            if a_im != 0.0:
-                r = r + (dt * a_im) * implicit(j)
-        return r
+            g = implicit(j) if a_im != 0.0 else None
+            for a, term in ((a_ex, n), (a_im, g)):
+                if term is None:
+                    continue
+                if r is None:
+                    r = (dt * a) * term
+                    r += q
+                else:
+                    r += (dt * a) * term
+        return q if r is None else r
 
     for i in range(s):
         r = None  # free the last stage's right-hand side before this one is summed
@@ -245,7 +262,9 @@ def step(pair, q, t, dt, tab):
             except SolverFailureError as exc:
                 raise exc.with_context(f"stage {i} of {tab.name}") from exc
             if tab.stiff_read[i]:
-                stage_g[i] = (stage_q[i] - r) * (1.0 / (shift * dt))
+                g = stage_q[i] - r
+                g *= 1.0 / (shift * dt)
+                stage_g[i] = g
         else:
             stage_q[i] = r
 

@@ -577,13 +577,14 @@ def imex_step_every_stage(pair, q, t, dt, tab):
     """One step of the tableau ``tab``, forming every stage's explicit
     tendency and every implicit stage's stiff tendency (Q - r) / (a dt),
     whether or not a weight reads it.  The terms of nonzero weights are
-    added in stage order."""
+    added in stage order, each sum as a chain of fresh states; an explicit
+    tendency of None adds no term."""
     Q, N, G = [], [], []
 
     def combine(w_ex, w_im):
         r = q
         for j, (a_ex, a_im) in enumerate(zip(w_ex, w_im)):
-            if a_ex != 0.0:
+            if a_ex != 0.0 and N[j] is not None:
                 r = r + (dt * a_ex) * N[j]
             if a_im != 0.0:
                 r = r + (dt * a_im) * G[j]

@@ -10,7 +10,8 @@ import oracles
 from swemix.basis import nodal_basis
 from swemix.cases import lake_at_rest
 from swemix.dg import ExplicitOperator, StateField, nodal_field
-from swemix.driver import SplitOperator
+from swemix.config import parse_text
+from swemix.driver import SplitOperator, build_simulation
 from swemix.errors import InvalidArgumentError, SolverFailureError, UnknownSchemeError
 from swemix.hdg import ImplicitSolverBank
 from swemix.imex import check_order_conditions, scheme_names, step, tableau
@@ -260,6 +261,147 @@ def test_unread_stiff_tendency_is_never_formed(name):
         assert Counted.subtractions == READ_STIFF_STAGES[name], k
         z = oracles.imex_step_every_stage(pair, z, 0.1 * k, 0.1, tab)
         assert np.array_equal(y.a, z.a), k
+
+
+# real fields, whose in-place += and *= the stepper uses: a nonlinear
+# periodic case, a linear-mode case on walls, and the explicit control
+FIELD_SETUPS = {
+    "nonlinear": ("case.name = mms_nonlinear\nmesh.nx = 4\nmesh.ny = 4\n", False),
+    "linear": ("case.name = standing_wave\ncase.linear_mode = true\nmesh.nx = 4\nmesh.ny = 3\n", False),
+    "control": ("case.name = standing_wave\nmesh.nx = 4\nmesh.ny = 3\n", True),
+}
+
+
+@pytest.mark.parametrize("name", scheme_names())
+@pytest.mark.parametrize("setup", sorted(FIELD_SETUPS))
+def test_step_on_fields_matches_every_stage_formula_bitwise(setup, name):
+    text, control = FIELD_SETUPS[setup]
+    dt = 0.01
+    times = f"time.scheme = {name}\ntime.dt = {dt}\ntime.t_final = {3 * dt}\n"
+    sim = build_simulation(parse_text(text + "disc.order = 2\n" + times))
+    pair = sim.operator(explicit_control=control)
+    y = z = sim.initial_field()
+    for k in range(3):
+        y = step(pair, y, k * dt, dt, sim.tab)
+        z = oracles.imex_step_every_stage(pair, z, k * dt, dt, sim.tab)
+        assert y.data.tobytes() == z.data.tobytes(), k
+
+
+class Snapshots(CountedSplit):
+    """CountedSplit on NumPy arrays.  Keeps every explicit tendency it
+    returns, every right-hand side it is given and every stage it returns,
+    each with a copy of its bytes at that moment."""
+
+    def __init__(self, identity, linear):
+        super().__init__()
+        self.identity = identity
+        self.linear = linear
+        self.seen = []
+
+    def keep(self, a):
+        self.seen.append((a, a.tobytes()))
+        return a
+
+    def explicit_tendency(self, y, t):
+        return None if self.linear else self.keep(self.E @ y + np.sin(t))
+
+    def implicit_solve(self, shift, r):
+        self.keep(r)
+        return r if self.identity else self.keep(np.linalg.solve(np.eye(2) - shift * self.L, r))
+
+
+@pytest.mark.parametrize("name", scheme_names())
+@pytest.mark.parametrize("identity,linear", [(False, False), (False, True), (True, False)])
+def test_step_writes_no_array_it_did_not_make(name, identity, linear):
+    # the caller's q, the explicit tendencies, the right-hand sides handed
+    # to the solve and the stages it returns keep their bytes; an identity
+    # solve (the explicit control's) returns the right-hand side itself
+    pair = Snapshots(identity, linear)
+    q = np.array([1.0, -0.5])
+    before = q.tobytes()
+    y = q
+    for k in range(3):
+        y = step(pair, y, 0.1 * k, 0.1, tableau(name))
+    assert q.tobytes() == before
+    assert pair.seen
+    for a, kept in pair.seen:
+        assert a.tobytes() == kept
+
+
+class Tallied:
+    """An array state that counts the fresh states its arithmetic makes
+    apart from its in-place updates."""
+
+    fresh = 0
+    in_place = 0
+
+    def __init__(self, a):
+        self.a = a
+
+    def _new(self, a):
+        Tallied.fresh += 1
+        return Tallied(a)
+
+    def __add__(self, other):
+        return self._new(self.a + other.a)
+
+    def __sub__(self, other):
+        return self._new(self.a - other.a)
+
+    def __mul__(self, c):
+        return self._new(self.a * c)
+
+    __rmul__ = __mul__
+
+    def __iadd__(self, other):
+        Tallied.in_place += 1
+        self.a += other.a
+        return self
+
+    def __imul__(self, c):
+        Tallied.in_place += 1
+        self.a *= c
+        return self
+
+
+class TalliedSplit(CountedSplit):
+    """CountedSplit on Tallied states; ``linear`` turns the explicit side off."""
+
+    def __init__(self, linear):
+        super().__init__()
+        self.linear = linear
+
+    def explicit_tendency(self, y, t):
+        return None if self.linear else Tallied(self.E @ y.a + np.sin(t))
+
+    def implicit_solve(self, shift, r):
+        return Tallied(np.linalg.solve(np.eye(2) - shift * self.L, r.a))
+
+
+# fresh states a step's stage arithmetic makes, with and without an explicit
+# side: one product per weighted term, one difference per stiff tendency
+# read.  A chain of fresh sums and products makes twice as many (ars222
+# nonlinear, as in mms_p3_64, and ars233 linear, as in
+# wave_linear_iterative: 10).
+FRESH_PER_STEP = {
+    ("ars111", False): 1,
+    ("ars111", True): 0,
+    ("ars222", False): 5,
+    ("ars222", True): 2,
+    ("ars233", False): 10,
+    ("ars233", True): 5,
+}
+
+
+@pytest.mark.parametrize("name,linear", sorted(FRESH_PER_STEP))
+def test_stage_arithmetic_makes_one_fresh_state_per_term(name, linear):
+    pair = TalliedSplit(linear)
+    y = Tallied(np.array([1.0, -0.5]))
+    for k in range(3):
+        Tallied.fresh = Tallied.in_place = 0
+        y = step(pair, y, 0.1 * k, 0.1, tableau(name))
+        expected = FRESH_PER_STEP[name, linear]
+        assert (Tallied.fresh, Tallied.in_place) == (expected, expected), k
 
 
 def test_ars222_additive_order_two():
