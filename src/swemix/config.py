@@ -2,9 +2,9 @@
 
 Format: one ``section.key = value`` per line, ``#`` starts a comment, blank
 lines ignored.  Unknown keys are a hard error so typos cannot silently fall
-back to defaults.  Mesh geometry and boundary keys default to the selected
-case's canonical choices when left unset; everything else has an explicit
-default below.
+back to defaults.  The selected case sets the domain and the boundary kinds,
+since its exact solution holds only there; the mesh section sets only the
+element counts.  Everything else has an explicit default below.
 """
 
 import math
@@ -21,19 +21,12 @@ from .errors import (
     UnknownKeyError,
 )
 from .hdg import BACKENDS
-from .mesh import PERIODIC, WALL
 
 
 @dataclass
 class MeshConfig:
     nx: int = 16
     ny: int = 16
-    xmin: Optional[float] = None  # None -> case default
-    xmax: Optional[float] = None
-    ymin: Optional[float] = None
-    ymax: Optional[float] = None
-    bc_x: Optional[str] = None
-    bc_y: Optional[str] = None
 
 
 @dataclass
@@ -183,14 +176,6 @@ def validate(cfg):
     for key in ("nx", "ny"):
         if getattr(cfg.mesh, key) < 1:
             raise InvalidValueError(f"mesh.{key}", f"element counts must be >= 1, got {cfg.mesh.nx}x{cfg.mesh.ny}")
-    for axis in ("x", "y"):
-        lo = getattr(cfg.mesh, f"{axis}min")
-        hi = getattr(cfg.mesh, f"{axis}max")
-        if lo is not None and hi is not None and hi <= lo:
-            raise InvalidValueError(f"mesh.{axis}max", f"must exceed mesh.{axis}min, got [{lo}, {hi}]")
-        bc = getattr(cfg.mesh, f"bc_{axis}")
-        if bc is not None and bc not in (WALL, PERIODIC):
-            raise InvalidValueError(f"mesh.bc_{axis}", f"must be '{WALL}' or '{PERIODIC}', got {bc!r}")
     if not 1 <= cfg.disc.order <= MAX_ORDER:
         raise InvalidValueError("disc.order", f"must be in [1, {MAX_ORDER}], got {cfg.disc.order}")
     if cfg.disc.tau is not None and cfg.disc.tau <= 0.0:

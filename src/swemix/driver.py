@@ -93,6 +93,7 @@ class Simulation:
 
 
 def build_simulation(cfg):
+    """The stack for ``cfg``, on the case's own domain and boundary kinds."""
     params = ModelParams(
         phi_bar=cfg.physics.phi_bar,
         f0=cfg.physics.f0,
@@ -100,20 +101,12 @@ def build_simulation(cfg):
         drag=cfg.physics.drag,
     )
     case = make_case(cfg.case.name, params, cfg.case.amplitude)
-    bx0, bx1, by0, by1 = case.bounds
-    bounds = (
-        bx0 if cfg.mesh.xmin is None else cfg.mesh.xmin,
-        bx1 if cfg.mesh.xmax is None else cfg.mesh.xmax,
-        by0 if cfg.mesh.ymin is None else cfg.mesh.ymin,
-        by1 if cfg.mesh.ymax is None else cfg.mesh.ymax,
-    )
-    mesh = build_structured(
-        cfg.mesh.nx,
-        cfg.mesh.ny,
-        bounds,
-        cfg.mesh.bc_x or case.bc_x,
-        cfg.mesh.bc_y or case.bc_y,
-    )
+    if cfg.case.linear_mode and case.mms_source is not None:
+        raise InvalidValueError(
+            "case.linear_mode",
+            f"{case.name} adds its source on the explicit side, which linear mode drops",
+        )
+    mesh = build_structured(cfg.mesh.nx, cfg.mesh.ny, case.bounds, case.bc_x, case.bc_y)
     basis = nodal_basis(cfg.disc.order)
     bank = ImplicitSolverBank(
         mesh,

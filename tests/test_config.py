@@ -66,8 +66,6 @@ def test_names_resolve_at_load_time():
         parse_text(MINIMAL + "time.scheme = rk9\n")
     with pytest.raises(InvalidValueError):
         parse_text(MINIMAL + "solver.backend = magma\n")
-    with pytest.raises(InvalidValueError):
-        parse_text(MINIMAL + "mesh.bc_x = open\n")
 
 
 def test_value_parsing():
@@ -107,8 +105,6 @@ def test_cross_field_validation():
         parse_text("case.name = lake_at_rest\ntime.dt = 0.5\ntime.t_final = 0.1\n")
     with pytest.raises(InvalidValueError):
         parse_text(MINIMAL + "disc.order = 9\n")
-    with pytest.raises(InvalidValueError):
-        parse_text(MINIMAL + "mesh.xmin = 1.0\nmesh.xmax = 0.0\n")
     with pytest.raises(InvalidValueError):
         parse_text(MINIMAL + "physics.phi_bar = -1\n")
 

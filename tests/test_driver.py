@@ -7,7 +7,7 @@ import pytest
 
 from swemix import hdg, imex
 from swemix.basis import nodal_basis
-from swemix.cases import l2_error
+from swemix.cases import case_names, l2_error, make_case
 from swemix.config import CaseConfig, Config, parse_text
 from swemix.dg import ExplicitOperator, StateField, nodal_field
 from swemix.driver import (
@@ -20,9 +20,15 @@ from swemix.driver import (
     stability_study,
     total_mass,
 )
-from swemix.errors import DryStateError, InvalidArgumentError, InvalidValueError, SolverFailureError
+from swemix.errors import (
+    DryStateError,
+    InvalidArgumentError,
+    InvalidValueError,
+    SolverFailureError,
+    UnknownKeyError,
+)
 from swemix.hdg import ImplicitSolverBank
-from swemix.mesh import build_structured
+from swemix.mesh import PERIODIC, WALL, build_structured
 from swemix.swe import ModelParams
 
 
@@ -244,12 +250,32 @@ def test_output_dir_created_and_overwritten(tmp_path):
 
 
 def test_case_defaults_and_overrides():
-    sim = build_simulation(_cfg("case.name = mms_nonlinear\ntime.dt = 0.1\ntime.t_final = 1\n"))
-    assert sim.mesh.bc_x == "periodic" and sim.mesh.bc_y == "periodic"
-    sim = build_simulation(
-        _cfg("case.name = mms_nonlinear\ntime.dt = 0.1\ntime.t_final = 1\nmesh.bc_x = wall\n")
-    )
-    assert sim.mesh.bc_x == "wall"
+    # the case alone sets the domain and the boundary kinds, since its exact
+    # solution holds only there; a config overrides only the element counts
+    for name in case_names():
+        text = f"case.name = {name}\ntime.dt = 0.1\ntime.t_final = 1\nmesh.nx = 3\nmesh.ny = 2\n"
+        sim = build_simulation(_cfg(text))
+        mesh = sim.mesh
+        assert (mesh.xmin, mesh.xmax, mesh.ymin, mesh.ymax) == sim.case.bounds, name
+        assert (mesh.bc_x, mesh.bc_y) == (sim.case.bc_x, sim.case.bc_y), name
+        assert (mesh.nx, mesh.ny) == (3, 2), name
+        with pytest.raises(UnknownKeyError):
+            _cfg(text + "mesh.bc_x = wall\n")
+
+
+def test_linear_mode_is_refused_for_a_case_with_a_source(tmp_path, monkeypatch):
+    # linear mode drops the explicit side, where the manufactured source is
+    # added: the run is refused before its output directory and first step
+    steps = []
+    monkeypatch.setattr(imex, "step", lambda *a: steps.append(a))
+    out = tmp_path / "out"
+    cfg = _cfg("case.name = mms_nonlinear\ncase.linear_mode = true\ntime.dt = 0.01\ntime.t_final = 0.02\n"
+               f"mesh.nx = 2\nmesh.ny = 2\noutput.dir = {out}\n")
+    with pytest.raises(InvalidValueError) as err:
+        run(cfg, quiet=True)
+    assert err.value.key == "case.linear_mode"
+    assert "mms_nonlinear" in str(err.value)
+    assert steps == [] and not out.exists()
 
 
 def test_explicit_gravity_dt():
@@ -310,21 +336,51 @@ def test_linear_mode_step_equals_a_zero_explicit_field(scheme, bc):
     assert not np.array_equal(q.data, q0.data)
 
 
+def _march_on_both_backends(mesh, basis, params, q0, steps, dt, **pair_kw):
+    """``steps`` ars233 steps from ``q0`` on a direct and on a gmres bank."""
+    tab = imex.tableau("ars233")
+    finals = []
+    for bank_kw in ({}, {"backend": "gmres", "rel_tol": 1e-12}):
+        bank = ImplicitSolverBank(mesh, basis, params, **bank_kw)
+        pair = SplitOperator(ExplicitOperator(mesh, basis), bank, params, **pair_kw)
+        q = q0
+        for k in range(steps):
+            q = imex.step(pair, q, k * dt, dt, tab)
+        finals.append(q)
+    return finals
+
+
 @pytest.mark.parametrize("bcs", [("wall", "wall"), ("periodic", "wall"), ("wall", "periodic"),
                                  ("periodic", "periodic")])
-def test_linear_run_agrees_between_backends(tmp_path, bcs):
+def test_linear_run_agrees_between_backends(bcs):
     # the gmres block-Jacobi blocks differ at the ends of a wall axis; a
     # 5 x 3 mesh of a 2 x 1 domain gives both families interior and end
     # faces, unequal counts and non-square elements
-    text = (
-        "case.name = standing_wave\ncase.linear_mode = true\ntime.scheme = ars233\n"
-        "time.dt = 0.01\ntime.t_final = 0.03\ndisc.order = 2\nmesh.nx = 5\nmesh.ny = 3\n"
-        f"mesh.xmax = 2.0\nmesh.bc_x = {bcs[0]}\nmesh.bc_y = {bcs[1]}\n"
-        f"output.dir = {tmp_path}\noutput.csv_series = false\n"
-    )
-    direct = run(_cfg(text), quiet=True).final_field.data
-    gmres = run(_cfg(text + "solver.backend = gmres\nsolver.rel_tol = 1e-12\n"), quiet=True).final_field.data
+    params = ModelParams(phi_bar=1.0)
+    case = make_case("standing_wave", params)
+    mesh = build_structured(5, 3, (0.0, 2.0, 0.0, 1.0), *bcs)
+    basis = nodal_basis(2)
+    q0 = nodal_field(mesh, basis, case.initial_state)
+    finals = _march_on_both_backends(mesh, basis, params, q0, 3, 0.01, linear_mode=True)
+    direct, gmres = (q.data for q in finals)
     assert np.max(np.abs(gmres - direct)) <= 1e-9 * np.max(np.abs(direct))
+
+
+def test_nonlinear_step_on_a_mixed_mesh_agrees_between_backends():
+    # periodic x wall: both face-family Rusanov passes, the wall mirror and
+    # the mixed-mesh trace solve on each backend, with the manufactured
+    # source and rotation on the explicit side
+    params = ModelParams(phi_bar=1.0, f0=1.0)
+    case = make_case("mms_nonlinear", params)
+    mesh = build_structured(4, 3, (0.0, 1.0, 0.0, 1.0), PERIODIC, WALL)
+    basis = nodal_basis(2)
+    q0 = nodal_field(mesh, basis, case.initial_state)
+    direct, gmres = _march_on_both_backends(mesh, basis, params, q0, 2, 0.01, extra_source=case.mms_source)
+    for q in (direct, gmres):
+        assert np.all(np.isfinite(q.data))
+        assert np.min(q.phi_prime) > -params.phi_bar
+    assert not np.array_equal(direct.data, q0.data)
+    assert np.max(np.abs(gmres.data - direct.data)) <= 1e-9 * np.max(np.abs(direct.data))
 
 
 def test_explicit_only_operator_identity_solve():
@@ -398,10 +454,9 @@ def test_convergence_standing_wave_returns_one_row_of_rates():
 
 
 def test_convergence_spacing_is_the_element_width():
-    # a 2 x 2 domain: nx = 2 and 4 give elements 1.0 and 0.5 wide
+    # the unit square: nx = 2 and 4 give elements 0.5 and 0.25 wide
     cfg = _cfg(
         "case.name = standing_wave\ncase.linear_mode = true\ntime.dt = 0.01\ntime.t_final = 0.02\n"
-        "mesh.xmax = 2.0\nmesh.ymax = 2.0\n"
     )
     res = convergence(cfg, [2, 4], "spatial")
-    assert np.array_equal(res.spacings, [1.0, 0.5])
+    assert np.array_equal(res.spacings, [0.5, 0.25])
