@@ -7,7 +7,9 @@ reports the measured order for each scheme.
 
 import argparse
 import os
+import sys
 
+from swemix.cli import run_command
 from swemix.config import parse_text
 from swemix.driver import convergence, make_output_dir
 
@@ -43,7 +45,9 @@ def main():
         print(f"\n== scheme {scheme} ==")
         print(result.table())
         result.to_csv(os.path.join(args.out, f"temporal_{scheme}.csv"))
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    # a swemix error is one line on stderr and exit code 1 or 2, as for the CLI
+    sys.exit(run_command(main))

@@ -48,8 +48,10 @@ def _cmd_run(args):
 
 def _cmd_convergence(args):
     cfg = load_config(args.config)
-    # the CSV is written after the study: fail on its directory before
+    # refuse the levels and the case first, then make the directory of the
+    # CSV, which is written after the study
     driver.check_levels(args.levels, args.mode)
+    driver.configured_case(cfg)
     driver.make_output_dir(cfg.output.dir)
     result = driver.convergence(cfg, args.levels, args.mode)
     print(result.table())
@@ -76,14 +78,12 @@ def _cmd_tableau_check(args):
     return 0
 
 
-def main(argv=None):
-    args = _build_parser().parse_args(argv)
+def run_command(command, *args):
+    """Call ``command(*args)`` and return its exit code.  A swemix error is
+    reported as one line on stderr: exit 1 for a configuration or argument
+    error, 2 for a solver failure or any other swemix error."""
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "convergence":
-            return _cmd_convergence(args)
-        return _cmd_tableau_check(args)
+        return command(*args)
     except (ConfigError, InvalidArgumentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -93,6 +93,14 @@ def main(argv=None):
     except SwemixError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+_COMMANDS = {"run": _cmd_run, "convergence": _cmd_convergence, "tableau-check": _cmd_tableau_check}
+
+
+def main(argv=None):
+    args = _build_parser().parse_args(argv)
+    return run_command(_COMMANDS[args.command], args)
 
 
 if __name__ == "__main__":

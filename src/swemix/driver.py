@@ -92,8 +92,10 @@ class Simulation:
         )
 
 
-def build_simulation(cfg):
-    """The stack for ``cfg``, on the case's own domain and boundary kinds."""
+def configured_case(cfg):
+    """The model parameters and the case of ``cfg``; raises if the case
+    refuses the config, or if linear mode would drop the source the case
+    adds on the explicit side."""
     params = ModelParams(
         phi_bar=cfg.physics.phi_bar,
         f0=cfg.physics.f0,
@@ -106,6 +108,12 @@ def build_simulation(cfg):
             "case.linear_mode",
             f"{case.name} adds its source on the explicit side, which linear mode drops",
         )
+    return params, case
+
+
+def build_simulation(cfg):
+    """The stack for ``cfg``, on the case's own domain and boundary kinds."""
+    params, case = configured_case(cfg)
     mesh = build_structured(cfg.mesh.nx, cfg.mesh.ny, case.bounds, case.bc_x, case.bc_y)
     basis = nodal_basis(cfg.disc.order)
     bank = ImplicitSolverBank(

@@ -39,14 +39,15 @@ element, from the same Schur block, and never assembles it either; its
 block-Jacobi preconditioner forms only the distinct face blocks, at most
 six.  Both read each face family of the trace as the mesh stores it, a
 (face lines, cells, p+1) grid, with no transposes.
+
+Only the gmres backend needs SciPy, and :func:`load_backend` imports it for
+that backend alone, so a direct run uses NumPy only.
 """
 
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse.linalg
 
 from .basis import element_operators
 from .dg import StateField
@@ -54,6 +55,20 @@ from .errors import AssemblyError, InvalidArgumentError, SolverFailureError
 from .mesh import EAST, NORTH, PERIODIC, SIDE_NORMALS, SOUTH, WEST
 
 BACKENDS = ("direct", "gmres")  # trace solvers of condense_and_factor
+
+
+def load_backend(name):
+    """Check the trace-solver backend ``name`` and return what it needs:
+    the ``scipy.sparse.linalg`` module for gmres, None for direct.  The
+    only SciPy import of the package."""
+    if name not in BACKENDS:
+        choices = " or ".join(map(repr, BACKENDS))
+        raise InvalidArgumentError(f"unknown solver backend {name!r}; must be {choices}")
+    if name == "direct":
+        return None
+    import scipy.sparse.linalg
+
+    return scipy.sparse.linalg
 
 
 @dataclass
@@ -127,14 +142,14 @@ def local_matrices(mesh, basis, params, alpha_dt, tau):
 
 
 def assemble_local(mesh, basis, params, alpha_dt, tau):
-    """Factorize the element matrix A once and precompute the operators
-    the condensed solve applies."""
+    """Solve the element matrix A once against [M | B] and precompute the
+    operators the condensed solve applies."""
     mass3, A, B, C, D = local_matrices(mesh, basis, params, alpha_dt, tau)
-    A_lu = scipy.linalg.lu_factor(A, check_finite=False)
-    if np.min(np.abs(np.diag(A_lu[0]))) == 0.0:
-        raise AssemblyError("singular element matrix; check alpha_dt and tau")
-    A_inv_M = scipy.linalg.lu_solve(A_lu, np.diag(mass3), check_finite=False)
-    A_inv_B = scipy.linalg.lu_solve(A_lu, B, check_finite=False)
+    try:
+        A_inv_MB = np.linalg.solve(A, np.hstack([np.diag(mass3), B]))
+    except np.linalg.LinAlgError:
+        raise AssemblyError("singular element matrix; check alpha_dt and tau") from None
+    A_inv_M, A_inv_B = A_inv_MB[:, : len(mass3)], np.ascontiguousarray(A_inv_MB[:, len(mass3) :])
     return LocalBlocks(
         forward=np.vstack([A_inv_M, -(C @ A_inv_M)]),
         A_inv_B=A_inv_B,
@@ -265,7 +280,10 @@ def trace_modes(blocks, mesh, basis):
     n1 = basis.n
     x, gram_x, px, gaps_x = _Axis.build(mesh.nx, mesh.bc_x, True, n1)
     y, gram_y, py, gaps_y = _Axis.build(mesh.ny, mesh.bc_y, mesh.bc_x != PERIODIC, n1)
-    split = scipy.linalg.block_diag(px, py, px, py)  # south, east, north, west
+    split = np.zeros((4, n1, 4, n1))
+    for side, parity in enumerate((px, py, px, py)):  # south, east, north, west
+        split[side, :, side] = parity
+    split = split.reshape(4 * n1, 4 * n1)
     schur = split.T @ blocks.schur @ split
 
     def sums(gram, sees):
@@ -334,8 +352,7 @@ def condense_and_factor(blocks, mesh, basis, backend="direct", rel_tol=1e-10, ma
     set-up forms and inverts only the distinct face blocks
     (:func:`_block_jacobi`), at most six, and applies each family by GEMM.
     """
-    if backend not in BACKENDS:
-        raise InvalidArgumentError(f"unknown solver backend {backend!r}")
+    linalg = load_backend(backend)
     ids = _trace_ids(mesh, basis.n)
     if backend == "direct":
         solve, stored = _mode_solve(blocks, mesh, basis)
@@ -348,11 +365,11 @@ def condense_and_factor(blocks, mesh, basis, backend="direct", rel_tol=1e-10, ma
         return np.bincount(flat, weights=(v[ids] @ schur_t).ravel(), minlength=ndof)
 
     apply_inv, stored = _block_jacobi(blocks.schur, num_faces, n1, mesh)
-    H = scipy.sparse.linalg.LinearOperator((ndof, ndof), matvec=apply, dtype=float)
-    precond = scipy.sparse.linalg.LinearOperator(H.shape, matvec=apply_inv, dtype=float)
+    H = linalg.LinearOperator((ndof, ndof), matvec=apply, dtype=float)
+    precond = linalg.LinearOperator(H.shape, matvec=apply_inv, dtype=float)
 
     def solve(g):
-        lam, info = scipy.sparse.linalg.gmres(
+        lam, info = linalg.gmres(
             H, g, rtol=rel_tol, atol=0.0, restart=30, maxiter=max_iter, M=precond
         )
         if info != 0:

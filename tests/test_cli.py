@@ -15,7 +15,7 @@ from swemix import config, driver, imex
 from swemix.basis import MAX_ORDER
 from swemix.cases import case_names
 from swemix.cli import main
-from swemix.errors import InvalidValueError, UnknownKeyError
+from swemix.errors import UnknownKeyError
 from swemix.hdg import BACKENDS
 
 CONFIG = """
@@ -239,7 +239,7 @@ def test_convergence_output_dir_under_a_file_exit_code(tmp_path, capsys, monkeyp
 
 
 @pytest.mark.parametrize("script", ["spatial_convergence.py", "temporal_convergence.py"])
-def test_convergence_script_output_dir_under_a_file(tmp_path, monkeypatch, script):
+def test_convergence_script_output_dir_under_a_file(tmp_path, capsys, monkeypatch, script):
     # the scripts write their CSVs after the study, so they make --out first
     runs = []
     monkeypatch.setattr(driver, "convergence", lambda *a, **k: runs.append(a))
@@ -247,9 +247,34 @@ def test_convergence_script_output_dir_under_a_file(tmp_path, monkeypatch, scrip
     blocker.write_text("file, not a directory")
     path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", script)
     monkeypatch.setattr("sys.argv", [script, "--out", str(blocker / "out")])
-    with pytest.raises(InvalidValueError, match="^output.dir: cannot make "):
+    with pytest.raises(SystemExit) as exit_:
         runpy.run_path(path, run_name="__main__")
+    assert exit_.value.code == 1
+    out, err = capsys.readouterr()
+    # one error line, as from the CLI, and no table
+    assert err.startswith("error: output.dir: cannot make ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    assert out == ""
     assert runs == []
+
+
+@pytest.mark.parametrize(
+    "case, extra, message",
+    [
+        ("mms_nonlinear", "case.linear_mode = true\n", "error: case.linear_mode: mms_nonlinear adds its source"),
+        ("lake_at_rest", "case.amplitude = 0.5\n", "error: lake_at_rest takes no amplitude"),
+    ],
+    ids=["linear_mms", "lake_amplitude"],
+)
+def test_convergence_refused_case_makes_no_output_dir(tmp_path, capsys, case, extra, message):
+    # the case refuses the config before the CSV's directory is made
+    cfg = tmp_path / "conv.cfg"
+    cfg.write_text(CONFIG.format(out=tmp_path / "out").replace("lake_at_rest", case) + extra)
+    assert main(["convergence", str(cfg), "--levels", "2", "4"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(message), err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_convergence_single_level_fails(tmp_path, capsys):

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from swemix import hdg
 from swemix.basis import nodal_basis
 from swemix.dg import ExplicitOperator, StateField, nodal_field
 from swemix.driver import SplitOperator, energy_proxy
@@ -55,6 +57,33 @@ def test_assemble_local_rejects_bad_inputs():
         assemble_local(mesh, basis, P2, 0.0, 1.0)
     with pytest.raises(AssemblyError):
         assemble_local(mesh, basis, P2, 0.1, -1.0)
+
+
+@pytest.mark.parametrize("order", [1, 3, 5, 8])
+def test_assemble_local_matches_an_lu_reference(order):
+    # A^-1 [M | B] by one np.linalg.solve agrees with SciPy's LU of A to
+    # round-off; the element blocks do not depend on the boundary kinds
+    mesh = build_structured(3, 2, BOUNDS, WALL, PERIODIC)
+    basis = nodal_basis(order)
+    for alpha in (1e-4, 0.37):
+        mass3, A, B, C, D = local_matrices(mesh, basis, P2, alpha, P2.wave_speed)
+        lu = scipy.linalg.lu_factor(A)
+        A_inv_M = scipy.linalg.lu_solve(lu, np.diag(mass3))
+        A_inv_B = scipy.linalg.lu_solve(lu, B)
+        blocks = assemble_local(mesh, basis, P2, alpha, P2.wave_speed)
+        assert _rel(blocks.forward, np.vstack([A_inv_M, -(C @ A_inv_M)])) <= 1e-12, alpha
+        assert _rel(blocks.A_inv_B, A_inv_B) <= 1e-12, alpha
+        assert _rel(blocks.schur, D - C @ A_inv_B) <= 1e-12, alpha
+
+
+def test_singular_element_matrix_raises_assembly_error(monkeypatch):
+    mesh = build_structured(1, 1, BOUNDS, WALL, WALL)
+    basis = nodal_basis(2)
+    mass3, A, B, C, D = local_matrices(mesh, basis, P2, 0.05, 1.0)
+    A[:, 0] = 0.0  # an exactly zero pivot
+    monkeypatch.setattr(hdg, "local_matrices", lambda *args: (mass3, A, B, C, D))
+    with pytest.raises(AssemblyError, match="^singular element matrix; check alpha_dt and tau$"):
+        assemble_local(mesh, basis, P2, 0.05, 1.0)
 
 
 def test_b_and_c_transpose_sparsity():
