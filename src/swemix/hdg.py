@@ -149,7 +149,9 @@ def assemble_local(mesh, basis, params, alpha_dt, tau):
         A_inv_MB = np.linalg.solve(A, np.hstack([np.diag(mass3), B]))
     except np.linalg.LinAlgError:
         raise AssemblyError("singular element matrix; check alpha_dt and tau") from None
-    A_inv_M, A_inv_B = A_inv_MB[:, : len(mass3)], np.ascontiguousarray(A_inv_MB[:, len(mass3) :])
+    # A^-1 B is stored column-major: the back-substitution reads it
+    # transposed, and that GEMM is a few percent faster so on small meshes
+    A_inv_M, A_inv_B = A_inv_MB[:, : len(mass3)], np.asfortranarray(A_inv_MB[:, len(mass3) :])
     return LocalBlocks(
         forward=np.vstack([A_inv_M, -(C @ A_inv_M)]),
         A_inv_B=A_inv_B,
