@@ -37,11 +37,9 @@ their node vectors, applied by GEMM.  The one solve covers all four
 boundary pairs.  The gmres backend iterates on H applied element by
 element, from the same Schur block, and never assembles it either; its
 block-Jacobi preconditioner forms only the distinct face blocks, at most
-six.  Both read each face family of the trace as the mesh stores it, a
-(face lines, cells, p+1) grid, with no transposes.
-
-Only the gmres backend needs SciPy, and :func:`load_backend` imports it for
-that backend alone, so a direct run uses NumPy only.
+six, and :func:`gmres` iterates in NumPy.  Both read each face family of
+the trace as the mesh stores it, a (face lines, cells, p+1) grid, with no
+transposes.  Neither backend needs more than NumPy.
 """
 
 from dataclasses import dataclass
@@ -55,20 +53,7 @@ from .errors import AssemblyError, InvalidArgumentError, SolverFailureError
 from .mesh import EAST, NORTH, PERIODIC, SIDE_NORMALS, SOUTH, WEST
 
 BACKENDS = ("direct", "gmres")  # trace solvers of condense_and_factor
-
-
-def load_backend(name):
-    """Check the trace-solver backend ``name`` and return what it needs:
-    the ``scipy.sparse.linalg`` module for gmres, None for direct.  The
-    only SciPy import of the package."""
-    if name not in BACKENDS:
-        choices = " or ".join(map(repr, BACKENDS))
-        raise InvalidArgumentError(f"unknown solver backend {name!r}; must be {choices}")
-    if name == "direct":
-        return None
-    import scipy.sparse.linalg
-
-    return scipy.sparse.linalg
+GMRES_RESTART = 30  # inner iterations of a gmres restart cycle
 
 
 @dataclass
@@ -172,12 +157,18 @@ class CondensedSystem:
     at set-up.  No backend assembles H.  ``stored_bytes`` counts the arrays
     the trace solve holds: the inverse mode blocks and the wall-axis
     transform matrices (a periodic axis holds none), or the block-Jacobi
-    inverses of the distinct face blocks, the only ones the set-up forms."""
+    inverses of the distinct face blocks, the only ones the set-up forms
+    (the gmres Krylov basis, restart + 1 trace vectors, is workspace and
+    not counted).  A gmres solve adds its inner iterations to
+    ``iterations`` and leaves its true relative residual in ``residual``,
+    failed solves included; the direct backend leaves both untouched."""
 
     blocks: LocalBlocks
     elem_trace_ids: np.ndarray
     solve: Callable
     stored_bytes: int
+    iterations: int = 0
+    residual: Optional[float] = None
 
     def solve_trace(self, g):
         return self.solve(g)
@@ -348,13 +339,15 @@ def condense_and_factor(blocks, mesh, basis, backend="direct", rel_tol=1e-10, ma
     (:func:`trace_modes`), by ``np.fft`` along a periodic axis and by
     cosine/sine GEMMs along a wall axis.  The gmres backend applies H as
     sum_K P_K^T S P_K, S the element Schur block and P_K the gather of the
-    element's trace dofs, and runs restarted GMRES to ``rel_tol`` with a
+    element's trace dofs, and runs :func:`gmres` to ``rel_tol`` with a
     block-Jacobi preconditioner; ``max_iter`` counts restart cycles.  A
     face's block depends only on its family and its face line, so the
     set-up forms and inverts only the distinct face blocks
     (:func:`_block_jacobi`), at most six, and applies each family by GEMM.
     """
-    linalg = load_backend(backend)
+    if backend not in BACKENDS:
+        choices = " or ".join(map(repr, BACKENDS))
+        raise InvalidArgumentError(f"unknown solver backend {backend!r}; must be {choices}")
     ids = _trace_ids(mesh, basis.n)
     if backend == "direct":
         solve, stored = _mode_solve(blocks, mesh, basis)
@@ -367,23 +360,94 @@ def condense_and_factor(blocks, mesh, basis, backend="direct", rel_tol=1e-10, ma
         return np.bincount(flat, weights=(v[ids] @ schur_t).ravel(), minlength=ndof)
 
     apply_inv, stored = _block_jacobi(blocks.schur, num_faces, n1, mesh)
-    H = linalg.LinearOperator((ndof, ndof), matvec=apply, dtype=float)
-    precond = linalg.LinearOperator(H.shape, matvec=apply_inv, dtype=float)
+    # one basis for every solve of this system: a fresh one per solve
+    # faults its pages in again each time
+    krylov = np.empty((GMRES_RESTART + 1, ndof))
 
     def solve(g):
-        lam, info = linalg.gmres(
-            H, g, rtol=rel_tol, atol=0.0, restart=30, maxiter=max_iter, M=precond
-        )
-        if info != 0:
-            res = np.linalg.norm(apply(lam) - g) / max(np.linalg.norm(g), 1e-300)
+        lam, iterations, residual = gmres(apply, apply_inv, g, rel_tol, max_iter, krylov)
+        system.iterations += iterations
+        system.residual = residual
+        if not residual <= rel_tol:
             raise SolverFailureError(
-                f"trace GMRES did not converge (info={info}, relative residual {res:.3e})",
-                residual=res,
-                iterations=info,
+                f"trace GMRES did not converge in {max_iter} restart cycles "
+                f"({iterations} iterations, relative residual {residual:.3e})",
+                residual=residual,
+                iterations=iterations,
             )
         return lam
 
-    return CondensedSystem(blocks=blocks, elem_trace_ids=ids, solve=solve, stored_bytes=stored)
+    system = CondensedSystem(blocks=blocks, elem_trace_ids=ids, solve=solve, stored_bytes=stored)
+    return system
+
+
+def gmres(apply, precond, g, rel_tol, max_cycles, basis):
+    """Solve apply(x) = g by restarted GMRES, right-preconditioned by
+    ``precond`` (Saad, *Iterative Methods for Sparse Linear Systems*, 2003,
+    sec. 9.3.2), from x = 0.
+
+    ``basis`` is the workspace, a (restart + 1, len(g)) array for the Krylov
+    vectors; ``max_cycles`` counts restart cycles.  Each inner iteration
+    applies ``precond`` and ``apply`` once, orthogonalizes by modified
+    Gram-Schmidt and updates the least-squares problem by a Givens rotation.
+    A cycle ends when that problem's residual reaches rel_tol ||g||, at a
+    breakdown (the new vector vanishes against the basis), or after restart
+    iterations; x then gains M^-1 V y, and the true residual g - apply(x)
+    decides whether the solve is done.
+
+    ``apply`` and ``precond`` must return new arrays: the iteration writes
+    into them rather than allocate per iteration.
+
+    Returns ``(x, iterations, residual)``: the inner iterations done and the
+    true relative residual ||g - apply(x)|| / ||g||, 0 when g = 0, which
+    takes no iteration.  Whether it meets ``rel_tol`` is the caller's test.
+    """
+    restart, eps = len(basis) - 1, np.finfo(float).eps
+    x = np.zeros_like(g)
+    g_norm = np.linalg.norm(g)
+    if g_norm == 0.0:
+        return x, 0, 0.0
+    hess = np.zeros((restart + 1, restart))
+    rotations = np.zeros((restart, 2))
+    r, r_norm, residual, iterations = g, g_norm, 1.0, 0
+    for _ in range(max_cycles):
+        if residual <= rel_tol:
+            break
+        np.divide(r, r_norm, out=basis[0])
+        s = np.zeros(restart + 1)
+        s[0] = r_norm
+        for j in range(restart):
+            z = precond(basis[j])
+            w = apply(z)
+            w_norm = np.linalg.norm(w)
+            for k in range(j + 1):
+                hess[k, j] = h = basis[k] @ w
+                w -= np.multiply(basis[k], h, out=z)  # z is spent: reuse it
+            h = np.linalg.norm(w)
+            breakdown = h <= eps * w_norm
+            if breakdown:
+                h = 0.0
+            else:
+                np.divide(w, h, out=basis[j + 1])
+            for k, (c, sn) in enumerate(rotations[:j]):
+                a, b = hess[k, j], hess[k + 1, j]
+                hess[k, j], hess[k + 1, j] = c * a + sn * b, c * b - sn * a
+            d = np.hypot(hess[j, j], h)
+            c, sn = hess[j, j] / d, h / d
+            rotations[j] = c, sn
+            hess[j, j] = d
+            s[j], s[j + 1] = c * s[j], -sn * s[j]
+            iterations += 1
+            if abs(s[j + 1]) <= rel_tol * g_norm or breakdown:
+                break
+        y = s[: j + 1]
+        for k in range(j, -1, -1):  # back-substitution on the rotated Hessenberg
+            y[k] = (y[k] - hess[k, k + 1 : j + 1] @ y[k + 1 :]) / hess[k, k]
+        x += precond(y @ basis[: j + 1])
+        r = g - apply(x)
+        r_norm = np.linalg.norm(r)
+        residual = r_norm / g_norm
+    return x, iterations, residual
 
 
 def _block_jacobi(schur, num_faces, n1, mesh):

@@ -13,10 +13,13 @@ from swemix.dg import ExplicitOperator, StateField, nodal_field
 from swemix.driver import SplitOperator, energy_proxy
 from swemix.errors import AssemblyError, InvalidArgumentError, SolverFailureError
 from swemix.hdg import (
+    BACKENDS,
+    GMRES_RESTART,
     ImplicitSolverBank,
     LocalBlocks,
     assemble_local,
     condense_and_factor,
+    gmres,
     implicit_solve,
     _block_jacobi,
     local_matrices,
@@ -488,6 +491,126 @@ def test_direct_gmres_and_monolithic_agree_at_random_shifts(bcs):
                 q, lam = bank.solve(alpha, r)
                 assert _rel(q.data, q_o) <= 1e-9, (shape, bank.backend, alpha)
                 assert _rel(lam.data.reshape(-1), lam_o) <= 1e-9, (shape, bank.backend, alpha)
+
+
+@pytest.mark.parametrize("bcs", ALL_PAIRS)
+@pytest.mark.parametrize("p", [4, 6, 8])
+def test_direct_gmres_and_monolithic_agree_at_high_order(bcs, p):
+    mesh = build_structured(3, 2, BOUNDS, *bcs)
+    basis = nodal_basis(p)
+    rng = np.random.default_rng(p)
+    alpha = 0.05
+    r = StateField(rng.standard_normal((mesh.num_elements, basis.n, basis.n, 3)), mesh, basis)
+    q_o, lam_o = oracles.MonolithicHdg(mesh, basis, P2, alpha, P2.wave_speed).solve(r.data)
+    for backend in BACKENDS:
+        q, lam = ImplicitSolverBank(mesh, basis, P2, backend=backend, rel_tol=1e-12).solve(alpha, r)
+        assert _rel(q.data, q_o) <= 1e-9, backend
+        assert _rel(lam.data.reshape(-1), lam_o) <= 1e-9, backend
+
+
+def _trace_operators(mesh, basis, alpha=0.05):
+    """The local blocks of one shift, H from them as a sparse matrix, and
+    the block-Jacobi apply."""
+    blocks = assemble_local(mesh, basis, P2, alpha, P2.wave_speed)
+    apply_inv, _ = _block_jacobi(blocks.schur, mesh.num_faces, basis.n, mesh)
+    return blocks, oracles.trace_matrix(blocks, mesh, basis), apply_inv
+
+
+def _true_residual(A, x, g):
+    return np.linalg.norm(g - A @ x) / np.linalg.norm(g)
+
+
+def _record_gmres(monkeypatch):
+    """The list that each of the program's gmres calls appends its
+    (x, iterations, residual) to."""
+    runs = []
+
+    def recorded(*args):
+        runs.append(gmres(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(hdg, "gmres", recorded)
+    return runs
+
+
+def test_gmres_solves_a_nonsymmetric_system_over_several_cycles():
+    # restart 2 on 12 unknowns: the solve needs several restart cycles.  A
+    # has a positive definite symmetric part, so restarted GMRES converges
+    rng = np.random.default_rng(3)
+    B = rng.standard_normal((12, 12))
+    A = 3.0 * np.eye(12) + B - B.T + 0.3 * rng.standard_normal((12, 12))
+    assert np.linalg.eigvalsh(A + A.T).min() > 0.0
+    g = rng.standard_normal(12)
+    inv_diag = 1.0 / np.diag(A)
+    x, iterations, residual = gmres(lambda v: A @ v, lambda v: inv_diag * v, g, 1e-12, 200, np.empty((3, 12)))
+    assert iterations > 2
+    assert residual <= 1e-12
+    assert residual == pytest.approx(_true_residual(A, x, g), rel=1e-6)
+    assert _rel(x, np.linalg.solve(A, g)) <= 1e-10
+
+
+@pytest.mark.parametrize("bcs", ALL_PAIRS)
+@pytest.mark.parametrize("shape", [(1, 1), (2, 1)])
+def test_gmres_breakdown_ends_the_cycle_below_the_restart(bcs, shape):
+    # 6 to 21 trace dofs, fewer than the restart's 30: at rel_tol = 0 only
+    # a breakdown ends the one cycle early, and the answer is exact
+    basis = nodal_basis(2)
+    mesh = build_structured(*shape, BOUNDS, *bcs)
+    blocks, H, apply_inv = _trace_operators(mesh, basis)
+    ndof = mesh.num_faces * basis.n
+    assert ndof < GMRES_RESTART
+    g = np.random.default_rng(1).standard_normal(ndof)
+    basis_vectors = np.empty((GMRES_RESTART + 1, ndof))
+    x, iterations, residual = gmres(lambda v: H @ v, apply_inv, g, 0.0, 1, basis_vectors)
+    assert iterations < GMRES_RESTART
+    assert residual <= 1e-13
+    assert _rel(x, condense_and_factor(blocks, mesh, basis).solve(g)) <= 1e-12
+
+
+def test_gmres_zero_rhs_returns_zeros_without_iterating():
+    mesh = build_structured(3, 2, BOUNDS, WALL, WALL)
+    basis = nodal_basis(2)
+    blocks = assemble_local(mesh, basis, P2, 0.05, P2.wave_speed)
+    system = condense_and_factor(blocks, mesh, basis, backend="gmres")
+    lam = system.solve(np.zeros(mesh.num_faces * basis.n))
+    assert not lam.any() and lam.shape == (mesh.num_faces * basis.n,)
+    assert (system.iterations, system.residual) == (0, 0.0)
+
+
+def test_gmres_system_counts_its_iterations(monkeypatch):
+    # the running total grows by each solve's own count, and the system
+    # keeps the true relative residual of the last solve
+    runs = _record_gmres(monkeypatch)
+    mesh = build_structured(4, 3, BOUNDS, WALL, PERIODIC)
+    basis = nodal_basis(2)
+    blocks, H, _ = _trace_operators(mesh, basis)
+    system = condense_and_factor(blocks, mesh, basis, backend="gmres", rel_tol=1e-12)
+    rng = np.random.default_rng(7)
+    total = 0
+    for k in range(3):
+        g = rng.standard_normal(mesh.num_faces * basis.n)
+        lam = system.solve(g)
+        total += runs[-1][1]
+        assert runs[-1][1] > 0 and system.iterations == total, k
+        assert system.residual == runs[-1][2] <= 1e-12
+        assert system.residual == pytest.approx(_true_residual(H, lam, g), rel=1e-6)
+    system.solve(np.zeros(mesh.num_faces * basis.n))
+    assert system.iterations == total
+
+
+def test_gmres_nonconvergence_raises_with_the_true_residual(monkeypatch):
+    runs = _record_gmres(monkeypatch)
+    mesh = build_structured(4, 4, BOUNDS, WALL, WALL)
+    basis = nodal_basis(2)
+    blocks, H, _ = _trace_operators(mesh, basis, alpha=0.5)
+    system = condense_and_factor(blocks, mesh, basis, backend="gmres", rel_tol=1e-14, max_iter=1)
+    g = np.random.default_rng(2).standard_normal(mesh.num_faces * basis.n)
+    with pytest.raises(SolverFailureError, match="did not converge in 1 restart cycles") as err:
+        system.solve(g)
+    (lam, iterations, residual), = runs
+    assert err.value.iterations == iterations == system.iterations == GMRES_RESTART
+    assert err.value.residual == residual == system.residual > 1e-14
+    assert residual == pytest.approx(_true_residual(H, lam, g), rel=1e-6)
 
 
 @pytest.mark.parametrize("bc", [PERIODIC, WALL])

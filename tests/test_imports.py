@@ -1,4 +1,4 @@
-"""A direct run needs NumPy alone; SciPy loads only for the gmres backend.
+"""A run needs NumPy alone, on either trace-solver backend.
 
 The test suite itself imports SciPy, so each check runs in a fresh
 interpreter.
@@ -76,37 +76,18 @@ def test_direct_runs_load_no_scipy(tmp_path):
     )
 
 
-def test_gmres_config_loads_scipy_while_it_is_validated(tmp_path):
-    # SciPy loads in parse_text, before the run times its set-up
+def test_runs_on_both_backends_load_no_scipy(tmp_path):
+    # every shipped case on each backend, and the linear standing wave on
+    # gmres, where the preconditioned iteration does all the implicit work
     _python(
         """
-        cfg = parse_text(config("standing_wave", "out", backend="gmres"))
-        assert "scipy.sparse.linalg" in sys.modules
-        loaded = scipy_modules()
-        assert run(cfg, quiet=True).steps == 2
-        assert scipy_modules() == loaded, sorted(set(scipy_modules()) - set(loaded))
-        """,
-        tmp_path,
-    )
-
-
-def test_gmres_bank_without_a_config_loads_scipy_at_set_up(tmp_path):
-    _python(
-        """
-        import numpy as np
-        from swemix.basis import nodal_basis
-        from swemix.dg import StateField
-        from swemix.hdg import ImplicitSolverBank
-        from swemix.mesh import WALL, build_structured
-        from swemix.swe import ModelParams
-
-        mesh = build_structured(3, 2, (0.0, 1.0, 0.0, 1.0), WALL, WALL)
-        basis = nodal_basis(2)
-        bank = ImplicitSolverBank(mesh, basis, ModelParams(phi_bar=1.0), backend="gmres")
-        assert scipy_modules() == []
-        r = StateField(np.ones((mesh.num_elements, basis.n, basis.n, 3)), mesh, basis)
-        q, _ = bank.solve(0.05, r)
-        assert "scipy.sparse.linalg" in sys.modules and np.all(np.isfinite(q.data))
+        runs = [(case, backend, False) for case in case_names() for backend in ("direct", "gmres")]
+        runs.append(("standing_wave", "gmres", True))
+        for k, (case, backend, linear) in enumerate(runs):
+            cfg = parse_text(config(case, f"out{k}", backend=backend, linear=linear))
+            result = run(cfg, quiet=True)
+            assert result.steps == 2 and len(result.vtk_paths) == 3, (case, backend)
+        assert scipy_modules() == [], scipy_modules()
         """,
         tmp_path,
     )
