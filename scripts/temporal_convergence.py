@@ -12,6 +12,7 @@ import sys
 from swemix.cli import run_command
 from swemix.config import parse_text
 from swemix.driver import convergence, make_output_dir
+from swemix.imex import scheme_names
 
 TEMPLATE = """
 case.name = mms_nonlinear
@@ -29,7 +30,7 @@ output.dir = {out}
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--schemes", nargs="+", default=["ars111", "ars222", "ars233"])
+    ap.add_argument("--schemes", nargs="+", default=scheme_names())
     ap.add_argument("--steps", nargs="+", type=int, default=[8, 16, 32, 64],
                     help="step counts per level (dt = t_final / steps)")
     ap.add_argument("--nx", type=int, default=32)

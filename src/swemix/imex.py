@@ -19,9 +19,9 @@ None means N is identically zero there, and the stepper adds no term for
 it.  After an implicit stage the stiff tendency is recovered
 algebraically as (Q - r) / shift instead of reapplying the operator,
 which keeps it exactly consistent with the solver's view of the operator;
-it is formed only if a later row or a final weight reads it.  A tableau
-may therefore never weight the stiff tendency of a stage with a zero
-implicit diagonal; the shipped ARS tableaux never do.
+it is formed only if a later row or a final weight reads it.  Building
+an ImexTableau therefore refuses one that weights the stiff tendency of a
+stage with a zero implicit diagonal; the shipped ARS tableaux never do.
 """
 
 from dataclasses import dataclass
@@ -36,12 +36,37 @@ _TOL = 1e-14
 
 @dataclass(frozen=True)
 class ImexTableau:
+    """A scheme's two tableaux as read-only float arrays, checked when built."""
+
     name: str
     A_ex: np.ndarray
     b_ex: np.ndarray
     A_im: np.ndarray
     b_im: np.ndarray
     order: int
+
+    def __post_init__(self):
+        for field in ("A_ex", "b_ex", "A_im", "b_im"):
+            table = np.array(getattr(self, field), dtype=float)
+            table.flags.writeable = False
+            object.__setattr__(self, field, table)
+        s = self.stages
+        for label, A, b in (("explicit", self.A_ex, self.b_ex), ("implicit", self.A_im, self.b_im)):
+            if A.shape != (s, s) or b.shape != (s,):
+                raise InvalidArgumentError(f"{self.name}: inconsistent {label} tableau shapes")
+            if abs(np.sum(b) - 1.0) > _TOL:
+                raise InvalidArgumentError(f"{self.name}: {label} weights do not sum to 1")
+        if np.any(np.triu(self.A_ex) != 0.0):
+            raise InvalidArgumentError(f"{self.name}: explicit table must be strictly lower triangular")
+        if np.any(np.triu(self.A_im, 1) != 0.0):
+            raise InvalidArgumentError(f"{self.name}: implicit table must be lower triangular")
+        # a stiffly accurate scheme's b_im is its last row: checking it refuses no more
+        weights = np.vstack([np.tril(self.A_im, -1), self.b_im])
+        if np.any(weights[:, np.diagonal(self.A_im) == 0.0] != 0.0):
+            raise InvalidArgumentError(
+                f"{self.name}: weights the stiff tendency of a stage with a zero "
+                "implicit diagonal, which the stepper never forms"
+            )
 
     @property
     def stages(self):
@@ -68,69 +93,34 @@ class ImexTableau:
         final = np.zeros(self.stages, bool) if self.stiffly_accurate else self.b_im != 0.0
         return np.tril(self.A_im, -1).any(axis=0) | final
 
-    def validate(self):
-        """Check the structural invariants; raise InvalidArgumentError on failure."""
-        s = self.stages
-        for label, A, b in (("explicit", self.A_ex, self.b_ex), ("implicit", self.A_im, self.b_im)):
-            if A.shape != (s, s) or b.shape != (s,):
-                raise InvalidArgumentError(f"{self.name}: inconsistent {label} tableau shapes")
-            if abs(np.sum(b) - 1.0) > _TOL:
-                raise InvalidArgumentError(f"{self.name}: {label} weights do not sum to 1")
-        if np.any(np.triu(self.A_ex) != 0.0):
-            raise InvalidArgumentError(f"{self.name}: explicit table must be strictly lower triangular")
-        if np.any(np.triu(self.A_im, 1) != 0.0):
-            raise InvalidArgumentError(f"{self.name}: implicit table must be lower triangular")
-        return self
 
+_G222 = 1.0 - np.sqrt(2.0) / 2.0
+_D222 = 1.0 - 1.0 / (2.0 * _G222)
+_G233 = (3.0 + np.sqrt(3.0)) / 6.0
 
-def _make(name, A_ex, b_ex, A_im, b_im, order):
-    return ImexTableau(
-        name=name,
-        A_ex=np.asarray(A_ex, dtype=float),
-        b_ex=np.asarray(b_ex, dtype=float),
-        A_im=np.asarray(A_im, dtype=float),
-        b_im=np.asarray(b_im, dtype=float),
-        order=order,
-    ).validate()
-
-
-def _ars111():
-    return _make(
-        "ars111",
+_SCHEMES = {
+    "ars111": dict(
         A_ex=[[0.0, 0.0], [1.0, 0.0]],
         b_ex=[1.0, 0.0],
         A_im=[[0.0, 0.0], [0.0, 1.0]],
         b_im=[0.0, 1.0],
         order=1,
-    )
-
-
-def _ars222():
-    g = 1.0 - np.sqrt(2.0) / 2.0
-    d = 1.0 - 1.0 / (2.0 * g)
-    return _make(
-        "ars222",
-        A_ex=[[0.0, 0.0, 0.0], [g, 0.0, 0.0], [d, 1.0 - d, 0.0]],
-        b_ex=[d, 1.0 - d, 0.0],
-        A_im=[[0.0, 0.0, 0.0], [0.0, g, 0.0], [0.0, 1.0 - g, g]],
-        b_im=[0.0, 1.0 - g, g],
+    ),
+    "ars222": dict(
+        A_ex=[[0.0, 0.0, 0.0], [_G222, 0.0, 0.0], [_D222, 1.0 - _D222, 0.0]],
+        b_ex=[_D222, 1.0 - _D222, 0.0],
+        A_im=[[0.0, 0.0, 0.0], [0.0, _G222, 0.0], [0.0, 1.0 - _G222, _G222]],
+        b_im=[0.0, 1.0 - _G222, _G222],
         order=2,
-    )
-
-
-def _ars233():
-    g = (3.0 + np.sqrt(3.0)) / 6.0
-    return _make(
-        "ars233",
-        A_ex=[[0.0, 0.0, 0.0], [g, 0.0, 0.0], [g - 1.0, 2.0 * (1.0 - g), 0.0]],
+    ),
+    "ars233": dict(
+        A_ex=[[0.0, 0.0, 0.0], [_G233, 0.0, 0.0], [_G233 - 1.0, 2.0 * (1.0 - _G233), 0.0]],
         b_ex=[0.0, 0.5, 0.5],
-        A_im=[[0.0, 0.0, 0.0], [0.0, g, 0.0], [0.0, 1.0 - 2.0 * g, g]],
+        A_im=[[0.0, 0.0, 0.0], [0.0, _G233, 0.0], [0.0, 1.0 - 2.0 * _G233, _G233]],
         b_im=[0.0, 0.5, 0.5],
         order=3,
-    )
-
-
-_SCHEMES = {"ars111": _ars111, "ars222": _ars222, "ars233": _ars233}
+    ),
+}
 
 
 def scheme_names():
@@ -138,14 +128,14 @@ def scheme_names():
 
 
 def tableau(name):
-    """Look up a shipped scheme by name."""
+    """Build a fresh, checked tableau of a shipped scheme by name."""
     try:
-        maker = _SCHEMES[name]
+        coefficients = _SCHEMES[name]
     except KeyError:
         raise UnknownSchemeError(
             f"unknown scheme {name!r}; available: {', '.join(scheme_names())}"
         ) from None
-    return maker()
+    return ImexTableau(name, **coefficients)
 
 
 @dataclass(frozen=True)
@@ -221,14 +211,6 @@ def step(pair, q, t, dt, tab):
             stage_n[j] = pair.explicit_tendency(stage_q[j], t + tab.c_ex[j] * dt)
         return stage_n[j]
 
-    def implicit(j):
-        if stage_g[j] is None:
-            raise InvalidArgumentError(
-                f"{tab.name} references the stiff tendency of explicit stage {j}, "
-                "which the stepper never computes"
-            )
-        return stage_g[j]
-
     def weighted_sum(w_ex, w_im):
         """q + dt sum_j (w_ex[j] N_j + w_im[j] G_j), added term by term in
         stage order; a zero weight skips its term, so an explicit tendency
@@ -241,7 +223,7 @@ def step(pair, q, t, dt, tab):
         r = None
         for j, (a_ex, a_im) in enumerate(zip(w_ex, w_im)):
             n = explicit(j) if a_ex != 0.0 else None
-            g = implicit(j) if a_im != 0.0 else None
+            g = stage_g[j] if a_im != 0.0 else None
             for a, term in ((a_ex, n), (a_im, g)):
                 if term is None:
                     continue

@@ -333,7 +333,7 @@ _EDGE = ("0", "-1", "1e-300", "1e300", "-1e300")
 _KEYS = {
     "mesh.nx": (st.sampled_from(("1", "2", "3")), ("-1", "0")),
     "mesh.ny": (st.sampled_from(("1", "2", "3")), ("-1", "0")),
-    "disc.order": (st.sampled_from(("1", "2", "3")), ("-1", "0", str(MAX_ORDER + 1))),
+    "disc.order": (st.integers(1, MAX_ORDER).map(str), ("-1", "0", str(MAX_ORDER + 1))),
     "disc.tau": (st.sampled_from((None, "0.5", "2")), _EDGE),
     "physics.phi_bar": (st.sampled_from((None, "2")), _EDGE),
     "physics.f0": (st.none(), _EDGE),

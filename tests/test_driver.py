@@ -445,6 +445,26 @@ output.dir = {out}
     assert "measured order" in res.table()
 
 
+# criterion 1's linear standing wave to a shorter final time
+HIGH_ORDER_CFG = """
+case.name = standing_wave
+case.linear_mode = true
+time.dt = 1e-4
+time.t_final = 0.05
+time.scheme = ars233
+disc.order = {p}
+output.csv_series = false
+"""
+
+
+# p = 4 starts at 8 cells: on 4, 8 and 16 its mean rate is 4.58, within
+# 0.1 of the bound; on 8, 16 and 32 it is 4.86
+@pytest.mark.parametrize("p,levels", [(4, [8, 16, 32]), (5, [4, 8, 16])])
+def test_spatial_order_at_high_order(p, levels):
+    res = convergence(_cfg(HIGH_ORDER_CFG.format(p=p)), levels, "spatial")
+    assert res.measured_order[0] >= p + 0.5, res.table()
+
+
 def test_convergence_standing_wave_returns_one_row_of_rates():
     cfg = _cfg(
         "case.name = standing_wave\ncase.linear_mode = true\ntime.dt = 0.01\ntime.t_final = 0.02\n"

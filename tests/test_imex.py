@@ -14,7 +14,7 @@ from swemix.config import parse_text
 from swemix.driver import SplitOperator, build_simulation
 from swemix.errors import InvalidArgumentError, SolverFailureError, UnknownSchemeError
 from swemix.hdg import ImplicitSolverBank
-from swemix.imex import check_order_conditions, scheme_names, step, tableau
+from swemix.imex import ImexTableau, check_order_conditions, scheme_names, step, tableau
 from swemix.mesh import build_structured
 from swemix.swe import ModelParams
 
@@ -77,7 +77,6 @@ def test_scheme_names_and_unknown():
 def test_all_tableaux_validate():
     for name in scheme_names():
         tab = tableau(name)
-        tab.validate()
         assert abs(np.sum(tab.b_ex) - 1.0) < 1e-14
         assert abs(np.sum(tab.b_im) - 1.0) < 1e-14
         assert np.allclose(tab.A_ex.sum(axis=1), tab.c_ex, atol=1e-14)
@@ -96,30 +95,84 @@ def test_stiff_accuracy_flags():
 
 
 def test_custom_tableau_derives_abscissae_and_stiff_accuracy():
-    from swemix.imex import ImexTableau
-
-    # explicit trapezoid with Crank-Nicolson: the abscissae are the row
+    # explicit trapezoid with backward Euler: the abscissae are the row
     # sums, and only the implicit table has b as its last row
     trap = ImexTableau(
         name="trapezoid",
-        A_ex=np.array([[0.0, 0.0], [1.0, 0.0]]),
-        b_ex=np.array([0.5, 0.5]),
-        A_im=np.array([[0.0, 0.0], [0.5, 0.5]]),
-        b_im=np.array([0.5, 0.5]),
-        order=2,
-    ).validate()
+        A_ex=[[0.0, 0.0], [1.0, 0.0]],
+        b_ex=[0.5, 0.5],
+        A_im=[[0.0, 0.0], [0.0, 1.0]],
+        b_im=[0.0, 1.0],
+        order=1,
+    )
     assert trap.stiffly_accurate is False
     assert np.array_equal(trap.c_ex, [0.0, 1.0]) and np.array_equal(trap.c_im, [0.0, 1.0])
-    # nor does the explicit table alone make the scheme stiffly accurate
-    half = ImexTableau(
-        name="half",
-        A_ex=np.array([[0.0, 0.0], [1.0, 0.0]]),
-        b_ex=np.array([1.0, 0.0]),
-        A_im=np.array([[0.0, 0.0], [0.5, 0.5]]),
-        b_im=np.array([0.0, 1.0]),
+    # nor does the explicit table alone make the scheme stiffly accurate:
+    # explicit midpoint with an implicit table whose b is not its last row
+    midpoint = ImexTableau(
+        name="midpoint",
+        A_ex=[[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [0.0, 1.0, 0.0]],
+        b_ex=[0.0, 1.0, 0.0],
+        A_im=[[0.0, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 1.0]],
+        b_im=[0.0, 0.5, 0.5],
         order=1,
-    ).validate()
-    assert half.stiffly_accurate is False
+    )
+    assert midpoint.stiffly_accurate is False
+    assert np.array_equal(midpoint.c_ex, [0.0, 0.5, 1.0]) and np.array_equal(midpoint.c_im, [0.0, 0.5, 1.0])
+    # both run: every stiff tendency they weight is one the stepper forms
+    for tab in (trap, midpoint):
+        assert np.isfinite(step(ScalarSplit(-1.0, -0.5), 1.0, 0.0, 0.1, tab))
+
+
+# explicit trapezoid with backward Euler, which each case below breaks by
+# one rule
+TRAPEZOID = dict(A_ex=[[0.0, 0.0], [1.0, 0.0]], b_ex=[0.5, 0.5], A_im=[[0.0, 0.0], [0.0, 1.0]], b_im=[0.0, 1.0])
+
+
+@pytest.mark.parametrize(
+    "change,message",
+    [
+        (dict(A_ex=[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), "inconsistent explicit tableau shapes"),
+        (dict(b_im=[0.0, 1.0, 0.0]), "inconsistent implicit tableau shapes"),
+        (dict(b_ex=[0.5, 0.4]), "explicit weights do not sum to 1"),
+        (dict(b_im=[0.0, 1.1]), "implicit weights do not sum to 1"),
+        (dict(A_ex=[[0.0, 0.0], [1.0, 0.5]]), "explicit table must be strictly lower triangular"),
+        (dict(A_im=[[0.0, 0.5], [0.0, 1.0]]), "implicit table must be lower triangular"),
+        # a later row weights the stiff tendency of explicit stage 0
+        (dict(A_im=[[0.0, 0.0], [0.5, 0.5]]), "zero implicit diagonal"),
+        # and so does a final weight of a scheme that is not stiffly accurate
+        (dict(b_im=[0.5, 0.5]), "zero implicit diagonal"),
+    ],
+)
+def test_tableau_construction_refuses(change, message):
+    with pytest.raises(InvalidArgumentError, match=message):
+        ImexTableau("broken", **{**TRAPEZOID, **change}, order=1)
+
+
+def test_stiffly_accurate_tableau_passes_the_stiff_tendency_rule():
+    # b_im is the last row: the row rule has checked each weight it puts on
+    # an earlier stage, and its last weight is the last stage's own diagonal
+    tab = ImexTableau(
+        name="ars_like",
+        A_ex=[[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [0.0, 1.0, 0.0]],
+        b_ex=[0.0, 1.0, 0.0],
+        A_im=[[0.0, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.5, 0.5]],
+        b_im=[0.0, 0.5, 0.5],
+        order=1,
+    )
+    assert tab.stiffly_accurate
+
+
+def test_tableau_stores_lists_as_read_only_float_arrays():
+    A_im = np.array([[0.0, 0.0], [0.0, 1.0]])
+    tab = ImexTableau("trapezoid", A_ex=[[0, 0], [1, 0]], b_ex=[0.5, 0.5], A_im=A_im, b_im=[0, 1], order=1)
+    for table in (tab.A_ex, tab.b_ex, tab.A_im, tab.b_im):
+        assert isinstance(table, np.ndarray) and table.dtype == np.float64
+        with pytest.raises(ValueError):
+            table[0] = 1.0
+    # the tableau keeps a copy: the caller's array stays writable and apart
+    A_im[1, 1] = 2.0
+    assert tab.A_im[1, 1] == 1.0
 
 
 def test_ars222_coefficients():
@@ -471,27 +524,19 @@ def test_solver_failure_annotated_with_stage():
     assert "stage 1" in str(err.value)
 
 
-def test_missing_apply_implicit_is_reported():
-    class NoApply:
-        def explicit_tendency(self, y, t):
-            return 0.0
-
-        def implicit_solve(self, shift, r):
-            return r
-
-    from swemix.imex import ImexTableau
-
-    # contrived pair that references the stiff tendency of stage 0
-    tab = ImexTableau(
-        name="needs_apply",
-        A_ex=np.array([[0.0, 0.0], [1.0, 0.0]]),
-        b_ex=np.array([1.0, 0.0]),
-        A_im=np.array([[0.0, 0.0], [0.5, 0.5]]),
-        b_im=np.array([0.5, 0.5]),
-        order=1,
-    )
-    with pytest.raises(InvalidArgumentError):
-        step(NoApply(), 1.0, 0.0, 0.1, tab)
+def test_tableau_weighting_an_unformed_stiff_tendency_is_refused():
+    # a contrived tableau whose second row and final weights read the
+    # stiff tendency of stage 0, which the stepper never forms: its
+    # implicit diagonal is zero
+    with pytest.raises(InvalidArgumentError, match="zero implicit diagonal"):
+        ImexTableau(
+            name="unformed",
+            A_ex=np.array([[0.0, 0.0], [1.0, 0.0]]),
+            b_ex=np.array([1.0, 0.0]),
+            A_im=np.array([[0.0, 0.0], [0.5, 0.5]]),
+            b_im=np.array([0.5, 0.5]),
+            order=1,
+        )
 
 
 def test_pde_run_triggers_single_factorization():
